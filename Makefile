@@ -36,7 +36,8 @@ test:
 # pass clean — a data race here would void the byte-identical-output
 # guarantee dlrmbench -workers rests on.
 # -timeout 20m: the exp package's registry-wide suites run ~8 minutes
-# under the race detector on a 1-CPU host, past the 10m default.
+# under the race detector on a 2-CPU host (go test -race ./internal/exp:
+# 482 s), close to the 10m default.
 race:
 	$(GO) test -race -timeout 20m ./...
 

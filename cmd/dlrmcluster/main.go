@@ -282,7 +282,7 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 8, "samples per query batch (also the engine batch size)")
 	flag.IntVar(&o.servers, "servers", 2, "concurrent servers per node")
 	flag.IntVar(&o.cores, "cores", 0, "engine cores for the timing run (0 = all platform cores)")
-	flag.IntVar(&o.shardWorkers, "shard-workers", 1, "logical processes per simulation run (conservative parallel DES; 1 = sequential, byte-identical at any value)")
+	flag.IntVar(&o.shardWorkers, "shard-workers", 1, "lookup-draw workers per simulation run (1 = sequential, byte-identical at any value)")
 	flag.IntVar(&o.queries, "queries", 4000, "closed-loop queries to simulate per sweep point")
 	flag.Float64Var(&o.arrival, "arrival", 0, "closed-loop mean query inter-arrival time in ms (0 = derive from -util)")
 	flag.Float64Var(&o.util, "util", 0.55, "target per-node utilization when -arrival/-rate is 0 (may exceed 1 with -open)")
@@ -366,20 +366,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cpu := platform.CascadeLake()
-	n := cpu.Cores
-	if o.cores > 0 && o.cores <= cpu.Cores {
-		n = o.cores
-	}
 	model := base.Scaled(o.scale)
-
-	// One memoizable engine run sets the per-node service model.
-	rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, Cores: n, Seed: *seed})
+	tm, err := o.engineTiming(model, h, scheme, *seed)
 	if err != nil {
 		fatal(err)
 	}
-	lookups := o.batch * model.Tables * model.LookupsPerSample
-	tm := cluster.TimingFromReport(rep, cpu, lookups)
 
 	plan, err := cluster.NewPlan(model, o.nodes, policy, 0, *seed)
 	if err != nil {
@@ -579,6 +570,22 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("\nreplicating the hottest rows trades per-node replica memory for tail latency:\nhot lookups short-circuit the fan-out and are served cache-resident at the query's home node\n")
+}
+
+// engineTiming runs the one memoizable engine run that sets the
+// per-node service model. The engine batch is -batch samples, the batch
+// TimingFromReport divides the embedding-stage time by.
+func (o mainFlags) engineTiming(model dlrm.Config, h trace.Hotness, scheme core.Scheme, seed uint64) (cluster.Timing, error) {
+	cpu := platform.CascadeLake()
+	n := cpu.Cores
+	if o.cores > 0 && o.cores <= cpu.Cores {
+		n = o.cores
+	}
+	rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, Cores: n, BatchSize: o.batch, Seed: seed})
+	if err != nil {
+		return cluster.Timing{}, err
+	}
+	return cluster.TimingFromReport(rep, cpu, o.batch*model.Tables*model.LookupsPerSample), nil
 }
 
 func parseFractions(s string) ([]float64, error) {

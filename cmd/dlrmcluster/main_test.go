@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"dlrmsim/internal/cluster"
+	"dlrmsim/internal/core"
+	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
 
@@ -244,5 +247,32 @@ func TestParseHotness(t *testing.T) {
 	}
 	if _, err := parseHotness("scorching"); err == nil {
 		t.Fatal("accepted unknown hotness")
+	}
+}
+
+// TestEngineTimingUsesBatch: the calibrating engine run must run at
+// -batch samples, the batch TimingFromReport divides its embedding time
+// by. Per-lookup cold cost then barely moves with the batch (cache
+// effects only); an engine left at its default batch would make it
+// inversely proportional to -batch — 4x apart between -batch 4 and 16.
+func TestEngineTimingUsesBatch(t *testing.T) {
+	base, err := dlrm.ByName("rm2_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := base.Scaled(40)
+	cold := map[int]float64{}
+	for _, batch := range []int{4, 16} {
+		o := goodFlags()
+		o.batch = batch
+		tm, err := o.engineTiming(model, trace.HighHot, core.Baseline, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[batch] = tm.ColdLookupUs
+	}
+	if r := cold[4] / cold[16]; r < 0.5 || r > 2 {
+		t.Errorf("cold lookup %.4f µs at -batch 4 vs %.4f µs at -batch 16 (ratio %.2f), want within 2x",
+			cold[4], cold[16], r)
 	}
 }

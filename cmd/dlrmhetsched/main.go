@@ -170,20 +170,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cpu := platform.CascadeLake()
-		n := cpu.Cores
-		if o.cores > 0 && o.cores <= cpu.Cores {
-			n = o.cores
-		}
-		model := base.Scaled(o.scale)
-		// One memoizable engine run calibrates the per-phase CPU costs.
-		rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, Cores: n, Seed: *seed})
+		g, err = o.engineGraph(base.Scaled(o.scale), h, scheme, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		lookups := o.batch * model.Tables * model.LookupsPerSample
-		tm := cluster.TimingFromReport(rep, cpu, lookups)
-		g = hetsched.DLRMGraph(tm.ColdLookupUs*float64(lookups), tm.DenseMs*1e3)
 		fmt.Printf("dlrmhetsched: %s (scale 1/%d), %v, %s design, %d-sample requests\n",
 			base.Name, o.scale, h, scheme, o.batch)
 	}
@@ -258,6 +248,23 @@ func main() {
 		}
 	}
 	fmt.Printf("\neach policy owns a regime: affinity on SMT siblings (the paper's MP-HT colocation —\nzero same-kind overlap), earliest-finish on speed-asymmetric big.LITTLE fleets, and\nwork stealing on wide uniform or deeply heterogeneous fleets\n")
+}
+
+// engineGraph calibrates the per-phase CPU costs of one -batch-sample
+// request from a memoizable engine run at that batch size.
+func (o mainFlags) engineGraph(model dlrm.Config, h trace.Hotness, scheme core.Scheme, seed uint64) (hetsched.Graph, error) {
+	cpu := platform.CascadeLake()
+	n := cpu.Cores
+	if o.cores > 0 && o.cores <= cpu.Cores {
+		n = o.cores
+	}
+	rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, Cores: n, BatchSize: o.batch, Seed: seed})
+	if err != nil {
+		return hetsched.Graph{}, err
+	}
+	lookups := o.batch * model.Tables * model.LookupsPerSample
+	tm := cluster.TimingFromReport(rep, cpu, lookups)
+	return hetsched.DLRMGraph(tm.ColdLookupUs*float64(lookups), tm.DenseMs*1e3), nil
 }
 
 func parseHotness(s string) (trace.Hotness, error) {

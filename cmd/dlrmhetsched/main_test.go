@@ -3,6 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"dlrmsim/internal/core"
+	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/hetsched"
+	"dlrmsim/internal/trace"
 )
 
 // goodFlags mirrors the flag defaults relevant to validation.
@@ -103,5 +108,30 @@ func TestValidateGoodInputs(t *testing.T) {
 				t.Fatalf("validate rejected %+v: %v", o, err)
 			}
 		})
+	}
+}
+
+// TestEngineGraphUsesBatch: -batch sets the gather phase's work, because
+// the calibrating engine run embeds -batch samples. An engine left at its
+// default batch would give every -batch the same gather phase.
+func TestEngineGraphUsesBatch(t *testing.T) {
+	base, err := dlrm.ByName("rm2_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := base.Scaled(40)
+	gather := map[int]float64{}
+	for _, batch := range []int{4, 16} {
+		o := goodFlags()
+		o.batch = batch
+		g, err := o.engineGraph(model, trace.MediumHot, core.Baseline, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gather[batch] = g.KindWorkUs()[hetsched.Gather]
+	}
+	if gather[16] < 2*gather[4] {
+		t.Errorf("gather phase %.2f µs at -batch 16 vs %.2f µs at -batch 4, want at least 2x (4x the lookups)",
+			gather[16], gather[4])
 	}
 }

@@ -31,7 +31,7 @@ func main() {
 	// 1. One single-node engine run sets the per-lookup service model.
 	rep, err := core.Run(core.Options{
 		Model: model, Hotness: trace.HighHot, Scheme: core.Baseline,
-		Cores: cpu.Cores, Seed: seed,
+		Cores: cpu.Cores, BatchSize: batch, Seed: seed,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,7 +12,7 @@ package cluster
 // Correctness is the same argument everywhere: a reused buffer is
 // either fully overwritten before it is read (nows, firstSub, the
 // pre-draw splits — drawQuery zeroes its own cold slice), explicitly
-// re-zeroed here (the active set, partition scratch), or re-sliced to
+// re-zeroed here (the active set, minute buckets), or re-sliced to
 // length zero and only appended to (subs, copies, latencies, queries).
 // Queue and wheel objects reset through their Reset hooks
 // (serve.Queue.Reset, eventq.Wheel.Reset). Nothing observable escapes:
@@ -36,13 +36,11 @@ type runArena struct {
 	queues    []*serve.Queue
 	subs      []subState
 	copies    []subCopy
-	cold      []int
 	nows      []float64
 	firstSub  []int
 	latencies []float64
 	preHot    []int
 	preCold   []int
-	scratch   []partScratch
 
 	// Open-loop extras.
 	queries  []openQuery
@@ -51,9 +49,6 @@ type runArena struct {
 	violated map[int]bool
 	ring     []openArrival
 	ringCold []int
-	win      []subCopy
-	efStart  []float64
-	efHist   [][]efEntry
 
 	// Robustness-tier state (chaos.go, adapt.go): held by value so the
 	// per-node and per-window slices inside recycle with the arena, and
@@ -63,11 +58,9 @@ type runArena struct {
 	ttrArr  []int
 	ttrGood []int
 
-	// Recycled event-queue instances (the wheel's 4096 buckets dominate
-	// the open loop's fixed cost), valid only for the backend they were
-	// built under.
-	copyQueues []copyQueue
-	cqBackend  EventBackend
+	// The open loop's recycled copy wheel: its 4096 buckets dominate the
+	// loop's fixed cost.
+	wheel *eventq.Wheel[subCopy]
 }
 
 var (
@@ -155,25 +148,6 @@ func (a *runArena) queueSet(nodes, servers int) []*serve.Queue {
 	return a.queues
 }
 
-// partScratchSet returns parts partition-scratch slots with their
-// grown delta/copy buffers intact and their per-window state cleared.
-func (a *runArena) partScratchSet(parts int) []partScratch {
-	if cap(a.scratch) < parts {
-		old := a.scratch
-		a.scratch = make([]partScratch, parts)
-		copy(a.scratch, old)
-	}
-	a.scratch = a.scratch[:parts]
-	for p := range a.scratch {
-		ps := &a.scratch[p]
-		ps.copies = ps.copies[:0]
-		ps.deltas = ps.deltas[:0]
-		ps.maxWait = 0
-		ps.pendPrim, ps.pendCond, ps.maxT = 0, 0, 0
-	}
-	return a.scratch
-}
-
 // boolSet returns an n-length all-false slice.
 func (a *runArena) boolSet(n int) []bool {
 	if cap(a.active) < n {
@@ -197,43 +171,15 @@ func (a *runArena) violatedMap() map[int]bool {
 	return a.violated
 }
 
-// efHistSet returns nodes earliest-free history slots, keeping each
-// node's grown entry buffer. Every window truncates each history before
-// appending, so stale entries are never read.
-func (a *runArena) efHistSet(nodes int) [][]efEntry {
-	if cap(a.efHist) < nodes {
-		old := a.efHist
-		a.efHist = make([][]efEntry, nodes)
-		copy(a.efHist, old)
-	}
-	a.efHist = a.efHist[:nodes]
-	return a.efHist
-}
-
-// copyQueueSet returns n empty copy queues for the current event
-// backend, recycling instances when the backend matches. Both drivers
-// drain their queues completely before finishing, so a recycled queue
-// is already empty; the wheel additionally rebases to time zero
+// copyWheel returns the open loop's copy wheel, recycling the previous
+// run's. The loop drains the wheel completely before finishing, so a
+// recycled wheel is already empty; it rebases to time zero
 // (Wheel.Reset) because its monotone-pop watermark survives draining.
-func (a *runArena) copyQueueSet(n int) []copyQueue {
-	if a.cqBackend != eventBackend {
-		a.copyQueues = nil
+func (a *runArena) copyWheel() *eventq.Wheel[subCopy] {
+	if a.wheel == nil {
+		a.wheel = eventq.NewWheel(openWheelWidthMs, openWheelBuckets, 0, copyArrive, copyLess)
+	} else {
+		a.wheel.Reset(0)
 	}
-	a.cqBackend = eventBackend
-	if cap(a.copyQueues) < n {
-		old := a.copyQueues
-		a.copyQueues = make([]copyQueue, n)
-		copy(a.copyQueues, old)
-	}
-	a.copyQueues = a.copyQueues[:n]
-	for i, q := range a.copyQueues {
-		if q == nil {
-			a.copyQueues[i] = newCopyQueue(eventBackend)
-			continue
-		}
-		if w, ok := q.(*eventq.Wheel[subCopy]); ok {
-			w.Reset(0)
-		}
-	}
-	return a.copyQueues
+	return a.wheel
 }

@@ -28,6 +28,49 @@ func TestArenaReuseDeterministic(t *testing.T) {
 	}
 }
 
+// TestArenaReuseAcrossFleetSizes: an arena recycled from a smaller
+// open-loop fleet serves a larger one. Each pre-draw buffer must be
+// sized on its own — a full-length ring whose cold buffer was sized
+// for one node would be sliced past its capacity by a four-node run.
+// The free list is emptied first so the result does not depend on
+// which fleets earlier tests left behind.
+func TestArenaReuseAcrossFleetSizes(t *testing.T) {
+	arenaMu.Lock()
+	saved := arenaFree
+	arenaFree = nil
+	arenaMu.Unlock()
+	defer func() {
+		arenaMu.Lock()
+		arenaFree = saved
+		arenaMu.Unlock()
+	}()
+	open := func(nodes int) Config {
+		return openTestConfig(t, nodes, &OpenLoop{
+			Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, nodes, 0.5)},
+			DurationMs: 200,
+			SLAMs:      50,
+		})
+	}
+	small, large := open(1), open(4)
+	want, err := Simulate(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenaMu.Lock()
+	arenaFree = nil
+	arenaMu.Unlock()
+	if _, err := Simulate(small); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("4-node run through an arena recycled from a 1-node run diverged:\n%+v\n%+v", want, got)
+	}
+}
+
 // TestSimulateAllocsSteadyState pins the arena's payoff: after a warmup
 // run seeds the free list, a closed-loop run performs a handful of
 // allocations (the run state, the arrival RNG, the shared Zipf sampler,

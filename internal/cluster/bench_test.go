@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dlrmsim/internal/trace"
@@ -73,12 +74,10 @@ func openBenchConfig(tb testing.TB) Config {
 	}
 }
 
-// BenchmarkOpenLoopParallel measures the open-loop day-scale run under
-// the conservative-window parallel backend at 1, 2, 4, and 8 logical
-// processes (p1 = the sequential driver; the output is byte-identical
-// at every P, so this is a pure execution-cost curve). Speedup over p1
-// requires free hardware cores — on a single-CPU host the curve is
-// flat and the windowing overhead is what's being measured.
+// BenchmarkOpenLoopParallel measures the open-loop day-scale run with
+// the lookup pre-draw spread over 1, 2, 4, and 8 workers (the output is
+// byte-identical at every P, so this is a pure execution-cost curve).
+// Speedup over p1 requires free hardware cores.
 func BenchmarkOpenLoopParallel(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
@@ -147,14 +146,13 @@ func BenchmarkChaosOpenLoop(b *testing.B) {
 	}
 }
 
-// TestChaosOpenLoopAllocsSteadyState extends the arena's steady-state
-// allocation guard to the robustness tier: once a warmup run has seeded
-// the free list, an open-loop run with an active chaos schedule, retry
-// budget, and breakers must reuse the recycled chaos/adaptive state
-// rather than re-allocating it per run. Uses the small open fixture
-// (not the day-scale bench config, whose population and stream-stats
-// state dominates) so the bound isolates the chaos/adaptive layer.
-func TestChaosOpenLoopAllocsSteadyState(t *testing.T) {
+// chaosAllocConfig is the small open fixture with an active chaos
+// schedule, retry budget, and breakers that the chaos allocation guards
+// run: not the day-scale bench config, whose population and
+// stream-stats state dominates, so the bound isolates the
+// chaos/adaptive layer.
+func chaosAllocConfig(t *testing.T) Config {
+	t.Helper()
 	cfg := openTestConfig(t, 4, &OpenLoop{
 		Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.5)},
 		DurationMs: 300,
@@ -172,11 +170,47 @@ func TestChaosOpenLoopAllocsSteadyState(t *testing.T) {
 			{Kind: DomainSlowdown, Domain: 0, AtMs: 150, ForMs: 50, Factor: 3},
 		},
 	}
+	return cfg
+}
+
+// TestChaosOpenLoopAllocsSteadyState extends the arena's steady-state
+// allocation guard to the robustness tier: once a warmup run has seeded
+// the free list, an open-loop run with an active chaos schedule, retry
+// budget, and breakers must reuse the recycled chaos/adaptive state
+// rather than re-allocating it per run.
+func TestChaosOpenLoopAllocsSteadyState(t *testing.T) {
+	cfg := chaosAllocConfig(t)
 	if _, err := Simulate(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(5, func() { Simulate(cfg) }); allocs > 16 {
 		t.Errorf("chaos open-loop Simulate allocates %.0f objects/run in steady state, want <= 16", allocs)
+	}
+}
+
+// TestChaosOpenLoopAllocsParallel is the same guard under Parallel(4):
+// beyond the sequential run's allocations, the only per-run cost the
+// parallel pre-draw may add is each ring refill's fan-out — the
+// WaitGroup, the worker func, and one closure per spawned goroutine,
+// P+1 objects per openPredrawBlock arrivals. Chaos or adaptive state
+// escaping the arena would allocate per copy or per epoch instead.
+func TestChaosOpenLoopAllocsParallel(t *testing.T) {
+	const parts = 4
+	restore := SetExecBackend(Parallel(parts))
+	defer restore()
+	cfg := chaosAllocConfig(t)
+	if _, err := Simulate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	// The expected Poisson arrival count over the horizon, plus one
+	// refill for the draw's variance and one for the final refill past
+	// the horizon.
+	expected := cfg.Open.Arrivals.RatePerMs * cfg.Open.DurationMs
+	refills := int(math.Ceil(expected/float64(openPredrawBlock))) + 2
+	bound := float64(16 + refills*(parts+1))
+	if allocs := testing.AllocsPerRun(5, func() { Simulate(cfg) }); allocs > bound {
+		t.Errorf("chaos open-loop Simulate under Parallel(%d) allocates %.0f objects/run, want <= %.0f (%d refills)",
+			parts, allocs, bound, refills)
 	}
 }
 

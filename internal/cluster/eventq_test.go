@@ -1,58 +1,10 @@
 package cluster
 
-import (
-	"testing"
-
-	"dlrmsim/internal/trace"
-	"dlrmsim/internal/traffic"
-)
-
-// TestEventBackendsByteIdentical pins that the sort, boxed-heap,
-// generic-heap, and wheel backends produce identical Results on both
-// loops — the comparator is the contract, the backend is invisible.
-// (The registry-wide sweep lives in internal/exp's differential suite;
-// this is the fast in-package gate.)
-func TestEventBackendsByteIdentical(t *testing.T) {
-	closed := testConfig(t, 4, RowRange, 0.01, trace.HighHot)
-	closed.Queries = 800
-	closed.Faults = FaultModel{
-		SlowdownEveryMs: 40, SlowdownMeanMs: 6, SlowdownFactor: 4,
-		DownEveryMs: 120, DownMeanMs: 3,
-		DropProb: 0.01,
-	}
-	closed.Mitigation = Mitigation{TimeoutMs: 2, MaxRetries: 2, HedgeDelayMs: 1, DegradedJoin: true}
-	open := openTestConfig(t, 4, &OpenLoop{
-		Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.7)},
-		DurationMs: 400,
-		SLAMs:      5,
-		Admission:  Admission{Policy: ShedOverBudget, QueueBudgetMs: 8},
-	})
-	open.Mitigation = Mitigation{TimeoutMs: 2, MaxRetries: 1, HedgeDelayMs: 1}
-
-	for _, cfg := range []Config{closed, open} {
-		var results []Result
-		for _, b := range []EventBackend{BackendDefault, BackendLegacy, BackendHeap, BackendWheel} {
-			restore := SetEventBackend(b)
-			res, err := Simulate(cfg)
-			restore()
-			if err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, res)
-		}
-		for i := 1; i < len(results); i++ {
-			if results[i] != results[0] {
-				t.Fatalf("backend %d diverges:\n%+v\n%+v", i, results[0], results[i])
-			}
-		}
-	}
-}
+import "testing"
 
 // TestOpenLoopDispatchAllocs extends the zero-alloc guards to open-loop
-// dispatch: pushing and popping scheduled copies through the default
-// (wheel) and heap backends must not allocate in steady state — the
-// legacy container/heap backend boxed every copy through `any`, one
-// heap allocation per scheduled copy in the hot path.
+// dispatch: every scheduled copy passes through the open loop's copy
+// wheel, so pushing and popping must not allocate in steady state.
 func TestOpenLoopDispatchAllocs(t *testing.T) {
 	copies := make([]subCopy, 64)
 	for i := range copies {
@@ -63,45 +15,23 @@ func TestOpenLoopDispatchAllocs(t *testing.T) {
 	// wheel by a whole revolution: every cycle reuses the same ring
 	// slots and one warm cycle settles all bucket capacities.
 	copies[len(copies)-1].arrive = openWheelWidthMs * openWheelBuckets
-	for _, tc := range []struct {
-		name    string
-		backend EventBackend
-		want    float64
-	}{
-		{"wheel", BackendWheel, 0},
-		{"heap", BackendHeap, 0},
-	} {
-		q := newCopyQueue(tc.backend)
-		base := 0.0 // keeps pushes monotone across cycles
-		cycle := func() {
-			start := base
-			for _, c := range copies {
-				c.arrive += start
-				q.Push(c)
-			}
-			for q.Len() > 0 {
-				base = q.Pop().arrive
-			}
-		}
-		for i := 0; i < 8; i++ { // warm bucket/overflow capacity
-			cycle()
-		}
-		if allocs := testing.AllocsPerRun(50, cycle); allocs > tc.want {
-			t.Errorf("%s dispatch allocated %.0f times per cycle, want <= %.0f", tc.name, allocs, tc.want)
-		}
-	}
-	// Document the legacy behavior the satellite fixed: boxing allocates
-	// per copy.
-	q := newCopyQueue(BackendLegacy)
-	legacy := testing.AllocsPerRun(10, func() {
+	var a runArena
+	q := a.copyWheel()
+	base := 0.0 // keeps pushes monotone across cycles
+	cycle := func() {
+		start := base
 		for _, c := range copies {
+			c.arrive += start
 			q.Push(c)
 		}
 		for q.Len() > 0 {
-			q.Pop()
+			base = q.Pop().arrive
 		}
-	})
-	if legacy == 0 {
-		t.Error("legacy boxed heap unexpectedly allocation-free; the baseline claim in eventq.go is stale")
+	}
+	for i := 0; i < 8; i++ { // warm bucket/overflow capacity
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
+		t.Errorf("wheel dispatch allocated %.0f times per cycle, want 0", allocs)
 	}
 }

@@ -7,28 +7,19 @@ import (
 	"dlrmsim/internal/traffic"
 )
 
-// forceFanOut makes every non-trivial window take the goroutine path so
-// the tests exercise the real partitioned serving, not the inline
-// fallback.
-func forceFanOut(t *testing.T) {
-	t.Helper()
-	prev := execFanOutMin
-	execFanOutMin = 0
-	t.Cleanup(func() { execFanOutMin = prev })
-}
-
-// execConfigs spans the closed-loop behavior space the parallel backend
-// must reproduce bitwise: the plain path, the fault-injected path, each
-// conditional-copy mitigation (hedging and timeout retries) whose
-// suppression logic the conservative windows defer, a chaos schedule
-// severing domains mid-run, and the adaptive overload controls whose
-// epoch-grid state the windows must settle identically.
+// execConfigs spans the closed-loop behavior space the parallel
+// pre-draw must reproduce bitwise: the plain path, the fault-injected
+// path, each conditional-copy mitigation (hedging and timeout retries),
+// hedging over a free network (zero hop latency), a chaos schedule
+// severing domains mid-run, and the adaptive overload controls.
 func execConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	plain := testConfig(t, 8, RowRange, 0.01, trace.HighHot)
 	faulted := faultConfig(t, trace.MediumHot)
 	hedged := faultConfig(t, trace.HighHot)
 	hedged.Mitigation = Mitigation{HedgeDelayMs: hedgeDelay(t, trace.HighHot)}
+	freeNet := hedged
+	freeNet.Net = Network{}
 	retried := faultConfig(t, trace.MediumHot)
 	retried.Mitigation = Mitigation{TimeoutMs: hedgeDelay(t, trace.MediumHot) * 2, MaxRetries: 2}
 	chaotic := faultConfig(t, trace.MediumHot)
@@ -44,6 +35,7 @@ func execConfigs(t *testing.T) map[string]Config {
 		"plain":          plain,
 		"faults":         faulted,
 		"hedge":          hedged,
+		"hedge-free-net": freeNet,
 		"retries":        retried,
 		"chaos":          chaotic,
 		"chaos-adaptive": adaptive,
@@ -56,7 +48,6 @@ func hedgeDelay(t *testing.T, h trace.Hotness) float64 {
 }
 
 func TestParallelBackendByteIdenticalClosedLoop(t *testing.T) {
-	forceFanOut(t)
 	for name, cfg := range execConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			want, err := Simulate(cfg)
@@ -78,34 +69,12 @@ func TestParallelBackendByteIdenticalClosedLoop(t *testing.T) {
 	}
 }
 
-// TestParallelFallsBackOnFreeNetwork pins the documented degradation:
-// conditional copies with zero network latency leave no lookahead, so
-// the run must take the sequential path (and still match it exactly).
-func TestParallelFallsBackOnFreeNetwork(t *testing.T) {
-	forceFanOut(t)
-	cfg := faultConfig(t, trace.HighHot)
-	cfg.Net = Network{}
-	cfg.Mitigation = Mitigation{HedgeDelayMs: hedgeDelay(t, trace.HighHot)}
-	want, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restore := SetExecBackend(Parallel(4))
-	defer restore()
-	got, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("zero-latency fallback diverged:\nseq %+v\npar %+v", want, got)
-	}
-}
-
-// openExecConfigs spans the open-loop behavior space the windowed
-// parallel driver must reproduce bitwise: the plain admit-all path,
-// admission control reading reconstructed queue state, bursty overload,
-// autoscaler ticks truncating windows, population revisits flowing
-// through the pre-draw ring, and fault injection with hedging.
+// openExecConfigs spans the open-loop behavior space the parallel
+// pre-draw must reproduce bitwise: the plain admit-all path, admission
+// control reading queue backlogs, bursty overload, autoscaler ticks,
+// population revisits flowing through the pre-draw ring, fault
+// injection with hedging (also over a free network), and chaos with
+// adaptive mitigation.
 func openExecConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	cfgs := map[string]Config{}
@@ -170,6 +139,10 @@ func openExecConfigs(t *testing.T) map[string]Config {
 		TimeoutMs: hedgeDelay(t, trace.HighHot) * 2, MaxRetries: 1}
 	cfgs["faults"] = faulted
 
+	freeNet := faulted
+	freeNet.Net = Network{}
+	cfgs["hedge-free-net"] = freeNet
+
 	chaotic := openTestConfig(t, 4, &OpenLoop{
 		Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.6)},
 		DurationMs: 500,
@@ -185,13 +158,12 @@ func openExecConfigs(t *testing.T) map[string]Config {
 	return cfgs
 }
 
-// TestParallelBackendByteIdenticalOpenLoop: the windowed driver is
-// bit-for-bit the sequential event loop at every shard count, in both
+// TestParallelBackendByteIdenticalOpenLoop: the parallel pre-draw is
+// bit-for-bit the sequential event loop at every worker count, in both
 // the batch-join and stream-stats summaries. The tiny pre-draw block
-// forces ring refills mid-window, exercising the refill path's
+// forces many ring refills mid-run, exercising the refill path's
 // sequential/concurrent split.
 func TestParallelBackendByteIdenticalOpenLoop(t *testing.T) {
-	forceFanOut(t)
 	prevBlock := openPredrawBlock
 	openPredrawBlock = 7
 	t.Cleanup(func() { openPredrawBlock = prevBlock })

@@ -32,6 +32,7 @@ import (
 	"math"
 
 	"dlrmsim/internal/check"
+	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
@@ -304,34 +305,14 @@ func (o *OpenLoop) applyDefaults(nodes int) error {
 	return nil
 }
 
-// copyHeap orders scheduled sub-request copies by (arrive, sub, attempt) —
-// the exact total order the closed-loop sort establishes, maintained
-// incrementally because arrivals keep scheduling new copies mid-run.
-// Legacy backend only (see eventq.go): container/heap boxes every
-// Push/Pop through `any`, allocating per scheduled copy; the default
-// path now runs the non-boxing eventq wheel in the same total order.
-type copyHeap []subCopy
-
-func (h copyHeap) Len() int { return len(h) }
-func (h copyHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.arrive != b.arrive {
-		return a.arrive < b.arrive
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.attempt < b.attempt
-}
-func (h copyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *copyHeap) Push(x any)   { *h = append(*h, x.(subCopy)) }
-func (h *copyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
-}
+// Wheel geometry for the open-loop copy queue: copies land within a few
+// service times of the current instant, so a quarter-millisecond bucket
+// keeps buckets near-singleton at production QPS while 4096 of them
+// (a ~1s horizon) keep the overflow area essentially empty.
+const (
+	openWheelWidthMs = 0.25
+	openWheelBuckets = 4096
+)
 
 // openQuery is one arrival's router-side record.
 type openQuery struct {
@@ -340,11 +321,8 @@ type openQuery struct {
 	revisit  bool
 }
 
-// openRun is one open-loop simulation's mutable state, factored out of
-// the historical simulateOpen monolith so the sequential driver (loop)
-// and the conservative-window parallel driver (openparallel.go) share
-// every event handler — tick, arrival, summary — verbatim. Only the
-// driver differs; the handlers are where the semantics live.
+// openRun is one open-loop simulation's mutable state: the event loop
+// (loop) and its handlers — tick, arrival, summary.
 type openRun struct {
 	o    *OpenLoop
 	plan *Plan
@@ -376,11 +354,9 @@ type openRun struct {
 	violated map[int]bool
 	sj       *streamJoin
 
-	h        copyQueue       // the sequential driver's single copy queue
-	push     func(c subCopy) // driver-owned: where scheduled copies go
+	h        *eventq.Wheel[subCopy] // scheduled copies, in copyCmp order
 	queries  []openQuery
 	firstSub []int
-	cold     []int // arrival-scratch: cold lookups per owner node
 	eff      []int // arrival-scratch: cold work per effective node
 	draws    int
 
@@ -389,8 +365,9 @@ type openRun struct {
 	nextArr float64
 	q       int
 
-	// Pre-draw ring (openparallel.go): arrivals whose lookup draws were
-	// computed ahead, in parallel, as pure functions of (Seed, q, user).
+	// Pre-draw ring (predraw.go): arrivals whose lookup draws were
+	// computed ahead, over the backend's workers, as pure functions of
+	// (Seed, q, user).
 	ring     []openArrival
 	ringCold []int
 	ringHead int
@@ -410,9 +387,8 @@ type openRun struct {
 }
 
 // newOpenRun builds the run state. cfg has been default-applied;
-// cfg.Open is non-nil. sketchParts sizes the stream-stats join's
-// per-partition sketch set (1 for the sequential driver).
-func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
+// cfg.Open is non-nil.
+func newOpenRun(cfg Config) (*openRun, error) {
 	o := cfg.Open
 	plan := cfg.Plan
 	model := plan.Model
@@ -489,7 +465,6 @@ func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
 		violated:    a.violatedMap(),
 		queries:     a.queries[:0],
 		firstSub:    append(a.firstSub[:0], 0),
-		cold:        arenaInts(&a.cold, plan.Nodes),
 		eff:         arenaInts(&a.eff, plan.Nodes),
 		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
 		ring:        a.ring,
@@ -505,7 +480,7 @@ func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
 		r.pfThresh = math.Max(clearT, o.WarmupMs)
 	}
 	if o.StreamStats {
-		r.sj = newStreamJoin(o, minuteMs, r.violated, sketchParts)
+		r.sj = newStreamJoin(o, minuteMs, r.violated)
 		r.sj.denseMs = cfg.Timing.DenseMs
 		r.sj.ttrArr, r.sj.ttrGood = r.ttrArr, r.ttrGood
 		r.sj.pfThreshMs = r.pfThresh
@@ -599,7 +574,7 @@ func (r *openRun) tick(now float64) {
 // receives per-OWNER cold counts — routing through the active set
 // happens at processing time — and hot/warm are the replicated and
 // profile-warm counts. A pure function of (Seed, q, user, visit), so
-// the parallel driver pre-computes it concurrently (openparallel.go).
+// the pre-draw ring computes it ahead of the event loop (predraw.go).
 func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, warm int) {
 	cfg := &r.st.cfg
 	plan := r.plan
@@ -636,11 +611,10 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 }
 
 // processArrival handles one arrival whose lookups are already drawn:
-// route the cold work through the active set, decide admission off
-// backlogAt (the live queues sequentially; a reconstructed as-of-now
-// view under the parallel driver), and schedule the sub-request copies
-// through r.push. Advances the arrival counter q.
-func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int, backlogAt func(n int, now float64) float64) {
+// route the cold work through the active set, decide admission off the
+// live queue backlogs, and schedule the sub-request copies onto the
+// wheel. Advances the arrival counter q.
+func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int) {
 	o := r.o
 	plan := r.plan
 	model := plan.Model
@@ -665,7 +639,7 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 			if c == 0 && !(n == home && hot+warm > 0) {
 				continue
 			}
-			if b := backlogAt(n, now); b > worst {
+			if b := r.backlog(n, now); b > worst {
 				worst = b
 			}
 		}
@@ -695,7 +669,7 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 				r.sj.subAttached(joinSlot)
 			}
 			for _, cp := range st.copies[before:] {
-				r.push(cp)
+				r.h.Push(cp)
 			}
 			st.copies = st.copies[:before]
 		}
@@ -716,14 +690,15 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 	r.q++
 }
 
-// loop is the sequential driver: one event loop over the three
-// deterministic sources. Ticks precede arrivals precede copies at equal
-// instants (strict inequalities below encode the tie-break).
-func (r *openRun) loop() {
+// loop is the event loop over the three deterministic sources. Ticks
+// precede arrivals precede copies at equal instants (strict
+// inequalities below encode the tie-break). Arrivals come off the
+// pre-draw ring, which refills over parts workers whenever it drains.
+func (r *openRun) loop(parts int) {
 	o := r.o
-	r.h = r.arena.copyQueueSet(1)[0]
-	r.push = r.h.Push
-	r.nextArr = r.stream.Next()
+	nodes := r.plan.Nodes
+	r.h = r.arena.copyWheel()
+	r.ringFill(parts)
 	for {
 		now := math.Inf(1)
 		kind := 0 // 1 tick, 2 arrival, 3 copy
@@ -744,46 +719,33 @@ func (r *openRun) loop() {
 		case 1:
 			r.tick(now)
 		case 2:
-			// Arrival: attribute it, draw its lookups, decide admission,
-			// and schedule its sub-request copies.
-			user, visit := uint64(r.q), 1
-			if r.visitors != nil {
-				user, visit = r.visitors.Next()
+			a := &r.ring[r.ringHead]
+			coldq := r.ringCold[r.ringHead*nodes : (r.ringHead+1)*nodes]
+			r.processArrival(now, a.user, a.visit, a.hot, a.warm, coldq)
+			r.ringHead++
+			if r.ringHead == len(r.ring) {
+				r.ringFill(parts)
+			} else {
+				r.nextArr = r.ring[r.ringHead].t
 			}
-			hot, warm := r.drawArrival(r.q, user, visit, r.cold)
-			r.processArrival(now, user, visit, hot, warm, r.cold, r.backlog)
-			r.nextArr = r.stream.Next()
 		case 3:
 			cp := r.h.Pop()
 			r.st.serveCopy(&cp, r.route(cp.node))
 			if r.sj != nil {
-				r.sj.copyDone(r.st, cp.sub, 0)
+				r.sj.copyDone(r.st, cp.sub)
 			}
 		}
 	}
 }
 
 // simulateOpen runs the open-loop live-traffic simulation. cfg has been
-// default-applied; cfg.Open is non-nil. The parallel execution backend
-// engages when it has partitions to run and a positive network hop to
-// hide the window barriers behind (with a free network every
-// conservative window is empty and the run stays sequential).
+// default-applied; cfg.Open is non-nil.
 func simulateOpen(cfg Config) (Result, error) {
-	parts := execParts(cfg.Plan.Nodes)
-	useParallel := parts > 1 && cfg.Net.LatencyMs > 0
-	sketchParts := 1
-	if useParallel {
-		sketchParts = parts
-	}
-	r, err := newOpenRun(cfg, sketchParts)
+	r, err := newOpenRun(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if useParallel {
-		r.loopParallel(parts)
-	} else {
-		r.loop()
-	}
+	r.loop(execParts(openPredrawBlock))
 	res := r.summary()
 	a := r.arena
 	a.subs, a.copies = r.st.subs, r.st.copies
@@ -822,17 +784,9 @@ func (r *openRun) summary() Result {
 			check.Assert(len(sj.freeJoins) == len(sj.joins),
 				"cluster: %d stream joins still open after drain", len(sj.joins)-len(sj.freeJoins))
 		}
-		// Quantiles come from the merged per-partition sketches — the
-		// merge is integer bucket addition, so the result is identical
-		// whatever partition each query folded into. The mean comes from
-		// latSum, which finalize accumulates in canonical completion
-		// order in every driver, keeping it bit-for-bit reproducible.
-		merged := &sj.sketches[0]
-		for i := 1; i < len(sj.sketches); i++ {
-			merged.Merge(&sj.sketches[i])
-		}
-		pct = []float64{merged.Quantile(0.50), merged.Quantile(0.95), merged.Quantile(0.99)}
-		nLat = int(merged.Count())
+		sk := &sj.sketch
+		pct = []float64{sk.Quantile(0.50), sk.Quantile(0.95), sk.Quantile(0.99)}
+		nLat = int(sk.Count())
 		if nLat > 0 {
 			mean = sj.latSum / float64(nLat)
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"dlrmsim/internal/check"
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
@@ -371,21 +370,11 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 // attempt 0 keeps the legacy jitter stream, so fault-free runs are
 // byte-identical to the pre-fault simulator.
 func (s *simState) run() {
-	// Every copy is known up front, so the native backend is a one-shot
-	// sort. (arrive, sub, attempt) is a total order — no two copies share
-	// a (sub, attempt) pair — so the unstable slices sort is deterministic
-	// and yields exactly the order the reflection-based stable-keyed
-	// sort.Slice produced, at a fraction of the cost: the copies are
-	// nearly sorted already (queries dispatch in arrival order) and
-	// pdqsort exploits that. See DESIGN.md §9 for the alternatives tried.
-	// The eventq backends reproduce the identical order incrementally
-	// (same comparator); the differential suite pins all three.
-	switch eventBackend {
-	case BackendHeap, BackendWheel:
-		s.runEventq()
-		return
-	}
-	s.sortCopies()
+	// Every copy is known up front, so a one-shot sort orders them: the
+	// copies are nearly sorted already (queries dispatch in arrival
+	// order) and pdqsort exploits that. See DESIGN.md §9 for the
+	// alternatives tried.
+	slices.SortFunc(s.copies, copyCmp)
 	prevArrive := math.Inf(-1)
 	for i := range s.copies {
 		c := &s.copies[i]
@@ -398,61 +387,28 @@ func (s *simState) run() {
 	}
 }
 
-// sortCopies establishes the canonical (arrive, seq, attempt) total
-// order in place — no two copies share a (seq, attempt) pair, so the
-// unstable sort is deterministic.
-func (s *simState) sortCopies() {
-	slices.SortFunc(s.copies, func(a, b subCopy) int {
-		switch {
-		case a.arrive < b.arrive:
-			return -1
-		case a.arrive > b.arrive:
-			return 1
-		case a.seq != b.seq:
-			return a.seq - b.seq
-		default:
-			return a.attempt - b.attempt
-		}
-	})
+// copyCmp is the canonical (arrive, seq, attempt) total order both
+// loops serve copies in: the closed loop's sort and the open loop's
+// wheel (copyLess). No two copies share a (seq, attempt) pair, so the
+// unstable sort is deterministic. The tie key is the sub's monotone
+// creation seq, which equals the slot index except under stream-stats
+// slot recycling.
+func copyCmp(a, b subCopy) int {
+	switch {
+	case a.arrive < b.arrive:
+		return -1
+	case a.arrive > b.arrive:
+		return 1
+	case a.seq != b.seq:
+		return a.seq - b.seq
+	default:
+		return a.attempt - b.attempt
+	}
 }
 
-// runEventq is run()'s forced-backend variant: the copies drain through
-// an eventq priority queue instead of a pre-sort. Same comparator, same
-// total order, byte-identical results — it exists so the differential
-// suite can exercise the heap and wheel against the sort on the full
-// closed-loop registry.
-func (s *simState) runEventq() {
-	var q copyQueue
-	if eventBackend == BackendHeap {
-		h := eventq.NewHeap(copyLess)
-		h.Grow(len(s.copies))
-		q = h
-	} else {
-		// Size the wheel from the copies' time span so buckets stay small
-		// regardless of the run's horizon.
-		minArr, maxArr := math.Inf(1), math.Inf(-1)
-		for i := range s.copies {
-			if a := s.copies[i].arrive; a < minArr {
-				minArr = a
-			}
-			if a := s.copies[i].arrive; a > maxArr {
-				maxArr = a
-			}
-		}
-		width := (maxArr - minArr) / float64(len(s.copies)+1) * 4
-		if !(width > 0) || math.IsInf(width, 0) {
-			width = 1
-		}
-		q = eventq.NewWheel(width, 1024, minArr, copyArrive, copyLess)
-	}
-	for i := range s.copies {
-		q.Push(s.copies[i])
-	}
-	for q.Len() > 0 {
-		c := q.Pop()
-		s.serveCopy(&c, c.node)
-	}
-}
+func copyLess(a, b subCopy) bool { return copyCmp(a, b) < 0 }
+
+func copyArrive(c subCopy) float64 { return c.arrive }
 
 // serveCopy processes one copy at its node-arrival instant: conditional
 // launch suppression, fault application, jitter, FCFS submission, and the
@@ -517,7 +473,7 @@ func (s *simState) serveCopy(c *subCopy, node int) {
 		sub.best = back
 	}
 	if ad != nil {
-		ad.observe(node, c.kind, back-c.launch, &ad.pendPrim, &ad.pendCond)
+		ad.observe(node, c.kind, back-c.launch)
 	}
 }
 
@@ -607,7 +563,6 @@ func Simulate(cfg Config) (Result, error) {
 
 	// Phase 1: draw each query's arrival and lookups, split them by the
 	// plan, and schedule every sub-request copy the router might launch.
-	cold := arenaInts(&a.cold, plan.Nodes) // per-node shard-owned lookups of the current query (drawQuery zeroes)
 	nows := arenaFloats(&a.nows, cfg.Queries)
 	firstSub := arenaInts(&a.firstSub, cfg.Queries+1)
 	if cap(a.latencies) < cfg.Queries-cfg.WarmupQueries {
@@ -631,31 +586,20 @@ func Simulate(cfg Config) (Result, error) {
 		zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
 	}
 
-	// Under the parallel backend, phase 1's draws — the bulk of its cost
-	// — pre-compute concurrently; the arrival stream and copy scheduling
-	// below stay sequential (they are cheap and stateful).
-	parts := execParts(plan.Nodes)
-	useParallel := parts > 1 && st.parallelizable()
-	var preHot, preCold []int
+	// The lookup draws — the bulk of phase 1 — are pre-computed over the
+	// execution backend's workers; the arrival stream and copy
+	// scheduling below stay sequential (they are cheap and stateful).
 	draws := cfg.SamplesPerQuery * model.LookupsPerSample
-	if useParallel {
-		preHot = arenaInts(&a.preHot, cfg.Queries)
-		preCold = arenaInts(&a.preCold, cfg.Queries*plan.Nodes)
-		st.predrawQueries(zipf, draws, cfg.Queries, parts, preHot, preCold)
-	}
+	preHot := arenaInts(&a.preHot, cfg.Queries)
+	preCold := arenaInts(&a.preCold, cfg.Queries*plan.Nodes)
+	st.predrawQueries(zipf, draws, cfg.Queries, execParts(cfg.Queries), preHot, preCold)
 	for q := 0; q < cfg.Queries; q++ {
 		now += arrivals.ExpFloat64() * cfg.MeanArrivalMs
 		nows[q] = now
 		firstSub[q] = len(st.subs)
 		home := q % plan.Nodes
-		var hot int
-		coldq := cold
-		if preCold != nil {
-			hot = preHot[q]
-			coldq = preCold[q*plan.Nodes : (q+1)*plan.Nodes]
-		} else {
-			hot = st.drawQuery(zipf, draws, q, coldq)
-		}
+		hot := preHot[q]
+		coldq := preCold[q*plan.Nodes : (q+1)*plan.Nodes]
 
 		// Fan out: one sub-request per involved node, with a network hop
 		// and message transfer each way.
@@ -686,14 +630,8 @@ func Simulate(cfg Config) (Result, error) {
 	}
 	firstSub[cfg.Queries] = len(st.subs)
 
-	// Phase 2: serve every copy in node-arrival order, FCFS per node —
-	// partitioned across conservative windows under the parallel backend,
-	// one goroutine otherwise.
-	if useParallel {
-		st.runParallel(parts, a.partScratchSet(parts))
-	} else {
-		st.run()
-	}
+	// Phase 2: serve every copy in node-arrival order, FCFS per node.
+	st.run()
 
 	// Phase 3: join each query on its slowest surviving sub-request (or,
 	// degraded, on the deadline the router abandons the slowest shard at),

@@ -42,17 +42,11 @@ type openJoinRec struct {
 }
 
 // streamJoin owns the incremental join: recycled records, the latency
-// sketches, and the exact counters the batch join would produce.
-//
-// Under the parallel execution backend each partition owns one sketch
-// and the summary merges them (stats.QuantileSketch.Merge — integer
-// bucket addition, so the partition assignment is unobservable in the
-// quantiles); the sequential driver runs with a single sketch. latSum
-// accumulates every folded latency in canonical completion order —
-// shared by both drivers, it keeps Result.Mean bit-for-bit identical
-// whatever partition each query's sketch entry landed in.
+// sketch, and the exact counters the batch join would produce. latSum
+// accumulates every folded latency in completion order; Result.Mean
+// comes from it rather than from the sketch.
 type streamJoin struct {
-	sketches  []stats.QuantileSketch // one per execution partition
+	sketch    stats.QuantileSketch
 	latSum    float64
 	joins     []openJoinRec
 	freeJoins []int
@@ -72,9 +66,7 @@ type streamJoin struct {
 	// Recovery observability (chaos.go): the minute buckets and
 	// post-fault counters the batch join fills in its summary loop,
 	// accumulated here at arrival/finalize time instead. ttrArr nil when
-	// the run has no chaos schedule. All integer increments keyed by the
-	// query's arrival instant, so the parallel driver's fold order is
-	// unobservable.
+	// the run has no chaos schedule.
 	ttrArr, ttrGood []int
 	pfThreshMs      float64
 	pfArr, pfGood   int
@@ -87,9 +79,8 @@ type streamJoin struct {
 // flat-memory guarantee.
 var streamHighWater func(liveSubs, liveJoins int)
 
-func newStreamJoin(o *OpenLoop, minuteMs float64, violated map[int]bool, parts int) *streamJoin {
+func newStreamJoin(o *OpenLoop, minuteMs float64, violated map[int]bool) *streamJoin {
 	return &streamJoin{
-		sketches: make([]stats.QuantileSketch, parts),
 		warmupMs: o.WarmupMs,
 		slaMs:    o.SLAMs,
 		denseMs:  0, // set by caller (needs cfg.Timing)
@@ -144,21 +135,18 @@ func (sj *streamJoin) subAttached(slot int) {
 
 // finalizeIfEmpty closes a join record that attached no subs (an
 // admitted query whose every lookup short-circuited): it joins at its
-// own arrival, exactly as the batch loop scores it. No copy served it,
-// so its latency folds into partition 0's sketch.
+// own arrival, exactly as the batch loop scores it.
 func (sj *streamJoin) finalizeIfEmpty(slot int) {
 	if slot >= 0 && sj.joins[slot].subsLeft == 0 {
-		sj.finalize(slot, 0)
+		sj.finalize(slot)
 	}
 }
 
 // copyDone is called after every processed copy, in canonical copy
-// order. part is the execution partition that served the copy (0 under
-// the sequential driver) — the sketch a finalizing query folds into.
-// When it was the sub's last outstanding copy, the sub resolves into
-// its join record and its slot is recycled; when that was the query's
-// last sub, the query finalizes.
-func (sj *streamJoin) copyDone(st *simState, subIdx int, part int) {
+// order. When it was the sub's last outstanding copy, the sub resolves
+// into its join record and its slot is recycled; when that was the
+// query's last sub, the query finalizes.
+func (sj *streamJoin) copyDone(st *simState, subIdx int) {
 	sub := &st.subs[subIdx]
 	sub.copiesLeft--
 	if sub.copiesLeft > 0 {
@@ -185,19 +173,18 @@ func (sj *streamJoin) copyDone(st *simState, subIdx int, part int) {
 	st.freeSubs = append(st.freeSubs, subIdx)
 	rec.subsLeft--
 	if rec.subsLeft == 0 {
-		sj.finalize(sub.join, part)
+		sj.finalize(sub.join)
 	}
 }
 
 // finalize folds one joined query into the summary accumulators —
 // the exact statements the batch join loop runs, minus the slice
-// append — and recycles the record. part selects the sketch the
-// latency lands in; every other accumulator is partition-blind.
-func (sj *streamJoin) finalize(slot int, part int) {
+// append — and recycles the record.
+func (sj *streamJoin) finalize(slot int) {
 	rec := &sj.joins[slot]
 	if rec.post {
 		lat := rec.joined + sj.denseMs - rec.arrive
-		sj.sketches[part].Add(lat)
+		sj.sketch.Add(lat)
 		sj.latSum += lat
 		if lat <= sj.slaMs {
 			sj.goodCount++

@@ -9,14 +9,6 @@ import (
 	"dlrmsim/internal/cluster"
 )
 
-// TestEventBackendsRegistryByteIdentical is the event-core differential
-// suite: the full experiment registry — every figure and table, which
-// between them exercise the closed-loop sort path, the open-loop queue,
-// and the hetsched device timers — must render byte-identical (text and
-// CSV) under every cluster event-queue backend, at 1 worker and at 8.
-// The legacy sort/boxed-heap paths are the reference; the wheel and the
-// generic heap reproduce their total order exactly or this fails with
-// the first differing experiment named.
 // renderRegistry runs the given experiments and returns each table's
 // text+CSV rendering — the byte-level artifact the differential suites
 // compare across backends.
@@ -40,51 +32,14 @@ func renderRegistry(t *testing.T, ids []string, workers int) [][]byte {
 	return out
 }
 
-func TestEventBackendsRegistryByteIdentical(t *testing.T) {
-	ids := IDs()
-	render := func(workers int) [][]byte { return renderRegistry(t, ids, workers) }
-
-	restore := cluster.SetEventBackend(cluster.BackendLegacy)
-	want := render(1)
-	restore()
-
-	backends := []struct {
-		name string
-		b    cluster.EventBackend
-	}{
-		{"legacy", cluster.BackendLegacy},
-		{"heap", cluster.BackendHeap},
-		{"wheel", cluster.BackendWheel},
-		{"default", cluster.BackendDefault},
-	}
-	for _, bk := range backends {
-		for _, workers := range []int{1, 8} {
-			if bk.b == cluster.BackendLegacy && workers == 1 {
-				continue // the reference run itself
-			}
-			t.Run(fmt.Sprintf("%s/workers%d", bk.name, workers), func(t *testing.T) {
-				restore := cluster.SetEventBackend(bk.b)
-				defer restore()
-				got := render(workers)
-				for i, id := range ids {
-					if !bytes.Equal(got[i], want[i]) {
-						t.Errorf("%s: output differs from legacy/workers1:\n--- legacy ---\n%s--- %s ---\n%s",
-							id, want[i], bk.name, got[i])
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestExecBackendsRegistryByteIdentical is the execution-backend
 // differential suite (DESIGN.md §14): the full registry — including the
-// fault-injected cluster sweeps (clu4/clu5) and the open-loop tiers
-// (clu6/clu7) — must render byte-identical under the conservative
-// parallel backend at 2 and 8 partitions, at 1 worker and at 8, against
-// the sequential reference. This is the tentpole's non-negotiable
-// pinned end to end: any lost window event, mis-merged router delta, or
-// reordered stream-join fold shows up here with the experiment named.
+// fault-injected cluster sweeps (clu4/clu5), the open-loop tiers
+// (clu6/clu7) and the chaos tiers (clu8/clu9) — must render
+// byte-identical with the lookup pre-draw spread over 2 and 8 workers,
+// at 1 worker and at 8, against the sequential reference. A pre-draw
+// that leaked state between queries or mis-indexed the ring shows up
+// here with the experiment named.
 func TestExecBackendsRegistryByteIdentical(t *testing.T) {
 	ids := IDs()
 	want := renderRegistry(t, ids, 1) // sequential reference
