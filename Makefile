@@ -28,8 +28,12 @@ build:
 vet:
 	$(GO) vet ./...
 
+# perfbench/ is a Go module of its own, so the root ./... never compiles
+# it; its smoke tests (~6 s) catch an internal API change that would
+# break the repository benchmark.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 # The concurrency gate: the deterministic parallel runner, the engine
 # cell fan-out, and the scheduler all run under the race detector. Must

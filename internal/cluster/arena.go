@@ -1,24 +1,25 @@
 package cluster
 
-// Per-run arena reuse (DESIGN.md §14). One closed-loop Simulate call
-// allocates a few dozen slices — the per-node queue set, the sub/copy
-// schedules, and the phase-1/phase-3 scratch — and the callers that
-// matter (SweepReplication, the experiment registry, parameter sweeps
-// in the CLIs) run thousands of simulations per process, so the
-// steady-state allocation rate is pure churn. The arena keeps one
-// run's working set alive on a free list and the next run re-slices it:
-// acquire at entry, recapture whatever grew, release at exit.
+// Per-run arena reuse (DESIGN.md §14). One Simulate call allocates a
+// few dozen slices — the per-node queue set, the sub and query records,
+// the pre-draw ring, the copy wheel's buckets, and the join scratch —
+// and the callers that matter (SweepReplication, the experiment
+// registry, parameter sweeps in the CLIs) run thousands of simulations
+// per process, so the steady-state allocation rate is pure churn. The
+// arena keeps one run's working set alive on a free list and the next
+// run re-slices it: acquire at entry, recapture whatever grew, release
+// at exit.
 //
 // Correctness is the same argument everywhere: a reused buffer is
-// either fully overwritten before it is read (nows, firstSub, the
-// pre-draw splits — drawQuery zeroes its own cold slice), explicitly
-// re-zeroed here (the active set, minute buckets), or re-sliced to
-// length zero and only appended to (subs, copies, latencies, queries).
-// Queue and wheel objects reset through their Reset hooks
-// (serve.Queue.Reset, eventq.Wheel.Reset). Nothing observable escapes:
-// the free list is guarded by a mutex, each concurrent run owns its
-// arena exclusively between acquire and release, and a run that errors
-// out simply never releases (the arena is garbage-collected).
+// either fully overwritten before it is read (firstSub, the pre-draw
+// ring — drawArrival zeroes its own cold slice), explicitly re-zeroed
+// here (the active set, minute buckets), or re-sliced to length zero
+// and only appended to (subs, queries, latencies). Queue and wheel
+// objects reset through their Reset hooks (serve.Queue.Reset,
+// eventq.Wheel.Reset). Nothing observable escapes: the free list is
+// guarded by a mutex, each concurrent run owns its arena exclusively
+// between acquire and release, and a run that errors out simply never
+// releases (the arena is garbage-collected).
 //
 // The AllocsPerRun guards in arena_test.go pin the steady state.
 
@@ -35,20 +36,14 @@ import (
 type runArena struct {
 	queues    []*serve.Queue
 	subs      []subState
-	copies    []subCopy
-	nows      []float64
+	queries   []openQuery
 	firstSub  []int
 	latencies []float64
-	preHot    []int
-	preCold   []int
-
-	// Open-loop extras.
-	queries  []openQuery
-	eff      []int
-	active   []bool
-	violated map[int]bool
-	ring     []openArrival
-	ringCold []int
+	eff       []int
+	active    []bool
+	violated  map[int]bool
+	ring      []ringArrival
+	ringCold  []int
 
 	// Robustness-tier state (chaos.go, adapt.go): held by value so the
 	// per-node and per-window slices inside recycle with the arena, and
@@ -58,8 +53,8 @@ type runArena struct {
 	ttrArr  []int
 	ttrGood []int
 
-	// The open loop's recycled copy wheel: its 4096 buckets dominate the
-	// loop's fixed cost.
+	// The recycled copy wheel: its 4096 buckets dominate the loop's
+	// fixed cost.
 	wheel *eventq.Wheel[subCopy]
 }
 
@@ -99,10 +94,6 @@ func arenaSlice[T any](buf *[]T, n int) []T {
 	*buf = (*buf)[:n]
 	return *buf
 }
-
-// arenaInts and arenaFloats are arenaSlice's historical spellings.
-func arenaInts(buf *[]int, n int) []int           { return arenaSlice(buf, n) }
-func arenaFloats(buf *[]float64, n int) []float64 { return arenaSlice(buf, n) }
 
 // chaosFor materializes a chaos schedule into the arena's recycled
 // chaos state.
@@ -171,15 +162,16 @@ func (a *runArena) violatedMap() map[int]bool {
 	return a.violated
 }
 
-// copyWheel returns the open loop's copy wheel, recycling the previous
-// run's. The loop drains the wheel completely before finishing, so a
-// recycled wheel is already empty; it rebases to time zero
-// (Wheel.Reset) because its monotone-pop watermark survives draining.
-func (a *runArena) copyWheel() *eventq.Wheel[subCopy] {
+// copyWheel returns the run's copy wheel with buckets width ms wide,
+// recycling the previous run's. The loop drains the wheel completely
+// before finishing, so a recycled wheel is already empty; it rebases to
+// time zero and the run's width (Wheel.Reset) because its monotone-pop
+// watermark survives draining.
+func (a *runArena) copyWheel(width float64) *eventq.Wheel[subCopy] {
 	if a.wheel == nil {
-		a.wheel = eventq.NewWheel(openWheelWidthMs, openWheelBuckets, 0, copyArrive, copyLess)
+		a.wheel = eventq.NewWheel(width, wheelBuckets, 0, copyArrive, copyLess)
 	} else {
-		a.wheel.Reset(0)
+		a.wheel.Reset(0, width)
 	}
 	return a.wheel
 }

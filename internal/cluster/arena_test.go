@@ -73,9 +73,9 @@ func TestArenaReuseAcrossFleetSizes(t *testing.T) {
 
 // TestSimulateAllocsSteadyState pins the arena's payoff: after a warmup
 // run seeds the free list, a closed-loop run performs a handful of
-// allocations (the run state, the arrival RNG, the shared Zipf sampler,
-// and the percentile summary) instead of the ~40 per-run slices it
-// allocated before arena reuse. The bounds are loose enough to survive
+// allocations (the run state, the arrival source, the shared Zipf
+// sampler, and the percentile summary) instead of the ~40 per-run
+// slices it allocated before arena reuse. The bounds are loose enough to survive
 // incidental churn but fail if per-run pooling regresses wholesale.
 func TestSimulateAllocsSteadyState(t *testing.T) {
 	cfg := testConfig(t, 8, RowRange, 0.01, trace.HighHot)

@@ -188,29 +188,45 @@ func TestChaosOpenLoopAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestChaosOpenLoopAllocsParallel is the same guard under Parallel(4):
-// beyond the sequential run's allocations, the only per-run cost the
-// parallel pre-draw may add is each ring refill's fan-out — the
-// WaitGroup, the worker func, and one closure per spawned goroutine,
-// P+1 objects per openPredrawBlock arrivals. Chaos or adaptive state
-// escaping the arena would allocate per copy or per epoch instead.
+// TestChaosOpenLoopAllocsParallel is the same guard under Parallel(4),
+// for the open loop and for the closed loop driven by the same fleet,
+// schedule and adaptive controls: beyond the sequential run's
+// allocations, the only per-run cost the parallel pre-draw may add is
+// each ring refill's fan-out — the WaitGroup, the worker func, and one
+// closure per spawned goroutine, P+1 objects per predrawBlock arrivals.
+// Chaos or adaptive state escaping the arena would allocate per copy or
+// per epoch instead.
 func TestChaosOpenLoopAllocsParallel(t *testing.T) {
 	const parts = 4
 	restore := SetExecBackend(Parallel(parts))
 	defer restore()
-	cfg := chaosAllocConfig(t)
-	if _, err := Simulate(cfg); err != nil {
-		t.Fatal(err)
-	}
-	// The expected Poisson arrival count over the horizon, plus one
-	// refill for the draw's variance and one for the final refill past
-	// the horizon.
-	expected := cfg.Open.Arrivals.RatePerMs * cfg.Open.DurationMs
-	refills := int(math.Ceil(expected/float64(openPredrawBlock))) + 2
-	bound := float64(16 + refills*(parts+1))
-	if allocs := testing.AllocsPerRun(5, func() { Simulate(cfg) }); allocs > bound {
-		t.Errorf("chaos open-loop Simulate under Parallel(%d) allocates %.0f objects/run, want <= %.0f (%d refills)",
-			parts, allocs, bound, refills)
+	open := chaosAllocConfig(t)
+	rate, horizon := open.Open.Arrivals.RatePerMs, open.Open.DurationMs
+	closed := open
+	closed.Open = nil
+	closed.MeanArrivalMs = 1 / rate
+	closed.Queries = int(rate * horizon)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// refills bounds the ring refills that fan out: the open loop's
+		// expected Poisson arrival count plus one refill for the draw's
+		// variance and one for the final refill past the horizon; the
+		// closed loop's exact query count, whose final empty refill
+		// draws nothing.
+		refills int
+	}{
+		{"open", open, int(math.Ceil(rate*horizon/float64(predrawBlock))) + 2},
+		{"closed", closed, int(math.Ceil(float64(closed.Queries) / float64(predrawBlock)))},
+	} {
+		if _, err := Simulate(tc.cfg); err != nil {
+			t.Fatal(err)
+		}
+		bound := float64(16 + tc.refills*(parts+1))
+		if allocs := testing.AllocsPerRun(5, func() { Simulate(tc.cfg) }); allocs > bound {
+			t.Errorf("chaos %s-loop Simulate under Parallel(%d) allocates %.0f objects/run, want <= %.0f (%d refills)",
+				tc.name, parts, allocs, bound, tc.refills)
+		}
 	}
 }
 

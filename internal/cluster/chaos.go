@@ -306,8 +306,7 @@ type chaosRaw struct {
 // chaosState is one run's materialized schedule: per-domain window
 // lists in CSR layout (windows of domain d at out[outIdx[d]:outIdx[d+1]],
 // start-sorted because events are AtMs-ordered), a per-node cursor for
-// the outage→queue application, and the fault-clear instant the
-// recovery metrics measure from. Lives in the run arena and recycles
+// the outage→queue application. Lives in the run arena and recycles
 // all of its slices.
 type chaosState struct {
 	domains int
@@ -323,7 +322,6 @@ type chaosState struct {
 	// onto the node's queue; like faults.track.applied it relies on each
 	// node seeing its submissions in arrival order.
 	outApplied []int32
-	clearMs    float64 // last window end: the fault-clear instant
 
 	raws []chaosRaw // build scratch
 }
@@ -385,13 +383,9 @@ func (cs *chaosState) init(sched *ChaosSchedule, nodes int) {
 		}
 	}
 	live := cs.raws[:0]
-	cs.clearMs = 0
 	for _, r := range cs.raws {
 		if r.win.end > r.win.start {
 			live = append(live, r)
-			if r.win.end > cs.clearMs {
-				cs.clearMs = r.win.end
-			}
 		}
 	}
 	cs.raws = live
@@ -442,6 +436,22 @@ func (cs *chaosState) init(sched *ChaosSchedule, nodes int) {
 	for i := range cs.outApplied {
 		cs.outApplied[i] = 0
 	}
+}
+
+// clearBy returns the fault-clear instant the recovery metrics measure
+// from, for a run whose horizon is horizon: the latest end of any window
+// that opens before it. fired is false when none does — windows opening
+// at or after the horizon count as no fault.
+func (cs *chaosState) clearBy(horizon float64) (clearMs float64, fired bool) {
+	for _, wins := range [...][]chaosWin{cs.out, cs.slow, cs.part} {
+		for _, w := range wins {
+			if w.start < horizon {
+				clearMs = max(clearMs, w.end)
+				fired = true
+			}
+		}
+	}
+	return clearMs, fired
 }
 
 // applyOutages pushes every scheduled outage window of the node's

@@ -142,8 +142,20 @@ func TestChaosRecoverTruncation(t *testing.T) {
 	if len(slow) != 1 || slow[0] != (chaosWin{start: 50, end: 150, factor: 3}) {
 		t.Errorf("slowdown window = %+v, want [50,150) x3", slow)
 	}
-	if cs.clearMs != 180 {
-		t.Errorf("clearMs = %g, want 180 (last surviving window end)", cs.clearMs)
+	// The clear instant is the last end among windows opening before the
+	// horizon; a horizon no window opens before sees no fault.
+	for _, tc := range []struct {
+		horizon, clear float64
+		fired          bool
+	}{
+		{math.Inf(1), 180, true}, // last surviving window end
+		{120, 180, true},         // the outage opens at 100
+		{100, 150, true},         // only the slowdown has opened
+		{50, 0, false},           // nothing opens before 50
+	} {
+		if c, fired := cs.clearBy(tc.horizon); c != tc.clear || fired != tc.fired {
+			t.Errorf("clearBy(%g) = (%g, %v), want (%g, %v)", tc.horizon, c, fired, tc.clear, tc.fired)
+		}
 	}
 	if f := cs.slowFactor(0, 100); f != 3 {
 		t.Errorf("slowFactor(domain 0 node, mid-window) = %g, want 3", f)
@@ -305,5 +317,57 @@ func TestChaosAdaptiveByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChaosNeverFiresMatchesNoSchedule is a metamorphic oracle: a chaos
+// schedule whose every event starts past the run's horizon never fires,
+// so the Result must equal the no-schedule run's field for field — in
+// the open loop (batch and stream-stats joins) and the closed loop.
+// Such a schedule once read as a fleet that never recovered
+// (TimeToRecoverMs −1).
+func TestChaosNeverFiresMatchesNoSchedule(t *testing.T) {
+	late := func(at float64) ChaosSchedule {
+		return ChaosSchedule{Domains: 4, Events: []ChaosEvent{
+			{Kind: DomainOutage, Domain: 2, AtMs: at, ForMs: 60},
+			{Kind: DomainSlowdown, Domain: 0, AtMs: at + 10, ForMs: 50, Factor: 3},
+			{Kind: Partition, Domain: 1, Peer: 3, AtMs: at + 20, ForMs: 40},
+			{Kind: Recover, Domain: 2, AtMs: at + 30},
+		}}
+	}
+	open := chaosAllocConfig(t) // 300 ms horizon
+	stream := open
+	so := *open.Open
+	so.StreamStats = true
+	stream.Open = &so
+	rate, horizon := open.Open.Arrivals.RatePerMs, open.Open.DurationMs
+	closed := open
+	closed.Open = nil
+	closed.MeanArrivalMs = 1 / rate
+	closed.Queries = int(rate * horizon)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		at   float64
+	}{
+		{"open", open, 1000},
+		{"open-stream", stream, 1000},
+		// The closed loop's horizon is its last finish, about 300 ms here;
+		// the schedule starts far past it.
+		{"closed", closed, 1e6},
+	} {
+		tc.cfg.Chaos = ChaosSchedule{}
+		want, err := Simulate(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.cfg.Chaos = late(tc.at)
+		got, err := Simulate(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: a schedule that never fires diverged from no schedule:\nnone  %+v\nlate  %+v", tc.name, want, got)
+		}
 	}
 }

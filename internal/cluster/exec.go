@@ -1,15 +1,14 @@
 package cluster
 
 // Execution-backend selection (DESIGN.md §14): how many workers one
-// simulation run spreads its lookup draws over. Both loops are a single
+// simulation run spreads its lookup draws over. Both load modes run one
 // sequential event loop; the only intra-run parallelism is the pre-draw
 // (predraw.go). Every query's lookup ranks are pure functions of
 // (Seed, query, table) — independent RNG lanes via stats.SplitSeed — so
-// the closed loop draws its whole query range, and the open loop each
-// block of its arrival ring, over P workers before the event loop
-// consumes them. The draw dominates a cluster run's CPU, the event loop
-// is cheap and stateful, and the split of a range across workers is
-// unobservable, so the output is byte-identical at any P.
+// each block of the arrival ring is drawn over P workers before the
+// event loop consumes it. The draw dominates a cluster run's CPU, the
+// event loop is cheap and stateful, and the split of a block across
+// workers is unobservable, so the output is byte-identical at any P.
 
 import "sync"
 

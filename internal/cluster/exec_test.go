@@ -164,9 +164,9 @@ func openExecConfigs(t *testing.T) map[string]Config {
 // forces many ring refills mid-run, exercising the refill path's
 // sequential/concurrent split.
 func TestParallelBackendByteIdenticalOpenLoop(t *testing.T) {
-	prevBlock := openPredrawBlock
-	openPredrawBlock = 7
-	t.Cleanup(func() { openPredrawBlock = prevBlock })
+	prevBlock := predrawBlock
+	predrawBlock = 7
+	t.Cleanup(func() { predrawBlock = prevBlock })
 	for name, cfg := range openExecConfigs(t) {
 		for _, stream := range []bool{false, true} {
 			label := name

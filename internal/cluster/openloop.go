@@ -1,22 +1,24 @@
 package cluster
 
-// The open-loop live-traffic tier (DESIGN.md §11): production serving is
-// open-loop — users do not wait for each other's responses, so offered
-// load is a function of time, not of the system's progress. This file
-// runs the cluster simulation against an internal/traffic arrival stream
-// (Poisson/MMPP with diurnal ramps and flash crowds) and a synthetic user
-// population, adds router-side admission control that sheds queries when
-// the backlog of the involved nodes exceeds an SLA budget, and an
-// autoscaler that grows and drains the active node set mid-run.
+// The cluster tier's one event loop (DESIGN.md §11), which both Simulate
+// modes run, and the open-loop live-traffic configuration it serves.
+// Production serving is open-loop — users do not wait for each other's
+// responses, so offered load is a function of time, not of the system's
+// progress. An open-loop run drives the loop from an internal/traffic
+// arrival stream (Poisson/MMPP with diurnal ramps and flash crowds) and a
+// synthetic user population, adds router-side admission control that
+// sheds queries when the backlog of the involved nodes exceeds an SLA
+// budget, and an autoscaler that grows and drains the active node set
+// mid-run. A closed-loop run is the same loop fed a fixed count of
+// Poisson arrivals, admitting everything, with no autoscaler.
 //
-// The closed-loop simulator pre-schedules every copy and sorts once; here
-// admission decisions must observe queue state at arrival time, so the
+// Admission decisions must observe queue state at arrival time, so the
 // run is a single event loop over three deterministic event sources —
-// autoscaler control ticks, stream arrivals, and a min-heap of scheduled
-// sub-request copies in the same (arrive, sub, attempt) total order the
-// closed-loop sort uses. At equal instants ticks precede arrivals precede
+// autoscaler control ticks, arrivals off the pre-draw ring, and a
+// calendar wheel of scheduled sub-request copies in (arrive, seq,
+// attempt) order. At equal instants ticks precede arrivals precede
 // copies; every source is a pure function of (Seed, index) via
-// stats.SplitSeed, so open-loop results keep the registry-wide
+// stats.SplitSeed, so results keep the registry-wide
 // byte-identical-at-any-worker-count determinism property.
 //
 // Autoscaling never re-shards: the plan stays fixed and the autoscaler
@@ -32,7 +34,6 @@ import (
 	"math"
 
 	"dlrmsim/internal/check"
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
@@ -305,14 +306,22 @@ func (o *OpenLoop) applyDefaults(nodes int) error {
 	return nil
 }
 
-// Wheel geometry for the open-loop copy queue: copies land within a few
-// service times of the current instant, so a quarter-millisecond bucket
-// keeps buckets near-singleton at production QPS while 4096 of them
-// (a ~1s horizon) keep the overflow area essentially empty.
-const (
-	openWheelWidthMs = 0.25
-	openWheelBuckets = 4096
-)
+// wheelBuckets is the copy wheel's ring size. Its bucket width is the
+// run's mean inter-arrival gap (wheelWidthMs), so a bucket holds about
+// one arrival's copies at any load and the ring spans ~4096 arrivals;
+// copies launched further out (retries behind long timeouts) wait in the
+// overflow area. Pop order does not depend on the geometry.
+const wheelBuckets = 4096
+
+// wheelWidthMs is the copy wheel's bucket width for a default-applied
+// config: the mean inter-arrival gap — MeanArrivalMs for the closed
+// loop, the base rate's reciprocal for the open loop.
+func wheelWidthMs(cfg *Config) float64 {
+	if cfg.Open != nil {
+		return 1 / cfg.Open.Arrivals.RatePerMs
+	}
+	return cfg.MeanArrivalMs
+}
 
 // openQuery is one arrival's router-side record.
 type openQuery struct {
@@ -321,17 +330,41 @@ type openQuery struct {
 	revisit  bool
 }
 
-// openRun is one open-loop simulation's mutable state: the event loop
-// (loop) and its handlers — tick, arrival, summary.
-type openRun struct {
+// arrivalSource yields a run's arrival instants in order: a
+// *traffic.Stream for the open loop, poissonArrivals for the closed loop.
+type arrivalSource interface{ Next() float64 }
+
+// poissonArrivals is the closed loop's arrival source: exponential gaps
+// of mean meanMs.
+type poissonArrivals struct {
+	rng    stats.RNG
+	meanMs float64
+	now    float64
+}
+
+func (p *poissonArrivals) Next() float64 {
+	p.now += p.rng.ExpFloat64() * p.meanMs
+	return p.now
+}
+
+// loopRun is one Simulate run's mutable state: the event loop (loop) and
+// its handlers — tick, arrival, summary. o is nil for a closed-loop run.
+type loopRun struct {
 	o    *OpenLoop
 	plan *Plan
 	st   *simState
 
-	stream   *traffic.Stream
+	src      arrivalSource
 	visitors *traffic.Visitors
 	pop      traffic.Population
 	zipf     *stats.Zipf
+
+	// Arrivals stop at endMs (the open loop's horizon, +Inf closed) or
+	// after limit arrivals (the closed loop's Queries, 0 open). slaMs is
+	// the open loop's SLA target; +Inf closed, where no query misses.
+	endMs float64
+	limit int
+	slaMs float64
 
 	// The active set. route walks a shard's standby chain to the first
 	// active node — the same chain retries use, so any node can serve
@@ -354,7 +387,6 @@ type openRun struct {
 	violated map[int]bool
 	sj       *streamJoin
 
-	h        *eventq.Wheel[subCopy] // scheduled copies, in copyCmp order
 	queries  []openQuery
 	firstSub []int
 	eff      []int // arrival-scratch: cold work per effective node
@@ -368,45 +400,75 @@ type openRun struct {
 	// Pre-draw ring (predraw.go): arrivals whose lookup draws were
 	// computed ahead, over the backend's workers, as pure functions of
 	// (Seed, q, user).
-	ring     []openArrival
+	ring     []ringArrival
 	ringCold []int
 	ringHead int
 
 	// Recovery observability (chaos.go): minute buckets of post-warmup
 	// arrivals and in-SLA completions, and the post-fault (arrive >=
-	// pfThresh) offered/good counters. Nil/zero without a chaos schedule;
-	// the batch join fills them in the summary loop, stream-stats runs
-	// fill them through the streamJoin aliases.
+	// pfThresh) offered/good counters, measured from clearMs, the
+	// fault-clear instant clipped to the horizon. Nil/zero unless an
+	// open-loop chaos schedule fires before the horizon; the batch join
+	// fills them in the summary loop, stream-stats runs fill them through
+	// the streamJoin aliases.
 	ttrArr, ttrGood []int
+	clearMs         float64
 	pfThresh        float64
 	pfArr, pfGood   int
 
-	// The run's recycled working set (arena.go); simulateOpen releases
-	// it after the summary.
+	// The run's recycled working set (arena.go); release returns it.
 	arena *runArena
 }
 
-// newOpenRun builds the run state. cfg has been default-applied;
-// cfg.Open is non-nil.
-func newOpenRun(cfg Config) (*openRun, error) {
+// newLoopRun builds the run state. cfg has been default-applied.
+func newLoopRun(cfg Config) (*loopRun, error) {
 	o := cfg.Open
 	plan := cfg.Plan
 	model := plan.Model
 
-	ar := o.Arrivals
-	ar.Seed = stats.SplitSeed(cfg.Seed^saltOpenArrivals, 0)
-	stream, err := traffic.NewStream(ar)
-	if err != nil {
-		return nil, err
+	r := &loopRun{
+		o:           o,
+		plan:        plan,
+		endMs:       math.Inf(1),
+		limit:       cfg.Queries,
+		slaMs:       math.Inf(1),
+		activeCount: plan.Nodes,
+		nextTick:    math.Inf(1),
+		pendingNode: -1,
+		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
 	}
-	var visitors *traffic.Visitors
-	var pop traffic.Population
-	if o.Population != nil {
-		pop = *o.Population
-		pop.Seed = stats.SplitSeed(cfg.Seed^saltOpenUsers, 0)
-		visitors, err = traffic.NewVisitors(pop)
+	var warmupMs float64
+	if o == nil {
+		r.src = &poissonArrivals{
+			rng:    stats.SeededRNG(stats.SplitSeed(cfg.Seed^0xA221, 0)),
+			meanMs: cfg.MeanArrivalMs,
+		}
+	} else {
+		ar := o.Arrivals
+		ar.Seed = stats.SplitSeed(cfg.Seed^saltOpenArrivals, 0)
+		stream, err := traffic.NewStream(ar)
 		if err != nil {
 			return nil, err
+		}
+		r.src = stream
+		if o.Population != nil {
+			r.pop = *o.Population
+			r.pop.Seed = stats.SplitSeed(cfg.Seed^saltOpenUsers, 0)
+			r.visitors, err = traffic.NewVisitors(r.pop)
+			if err != nil {
+				return nil, err
+			}
+		}
+		r.endMs, r.slaMs = o.DurationMs, o.SLAMs
+		r.activeCount, warmupMs = o.StartNodes, o.WarmupMs
+		if r.as = o.Autoscale; r.as != nil {
+			r.nextTick = r.as.IntervalMs
+		}
+		// SLA-violation minutes bucketize on the configured day when the
+		// stream defines one, else on the run horizon.
+		r.minuteMs = o.DurationMs / 1440
+		if ar.DayMs > 0 {
+			r.minuteMs = ar.DayMs / 1440
 		}
 	}
 
@@ -415,10 +477,10 @@ func newOpenRun(cfg Config) (*openRun, error) {
 		cfg:      cfg,
 		plan:     plan,
 		queues:   a.queueSet(plan.Nodes, cfg.ServersPerNode),
-		warmupMs: o.WarmupMs,
+		subs:     a.subs[:0],
+		wheel:    a.copyWheel(wheelWidthMs(&cfg)),
+		warmupMs: warmupMs,
 	}
-	st.subs = a.subs[:0]
-	st.copies = a.copies[:0]
 	if cfg.Faults.Active() {
 		st.faults = newFaultState(cfg.Faults, cfg.Seed, plan.Nodes)
 	}
@@ -428,59 +490,41 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	if cfg.Mitigation.adaptive() {
 		st.adapt = a.adaptFor(&cfg.Mitigation, plan.Nodes)
 	}
-
-	active := a.boolSet(plan.Nodes)
-	for n := 0; n < o.StartNodes; n++ {
-		active[n] = true
+	r.st = st
+	r.arena = a
+	r.active = a.boolSet(plan.Nodes)
+	for n := 0; n < r.activeCount; n++ {
+		r.active[n] = true
 	}
+	r.violated = a.violatedMap()
+	r.queries = a.queries[:0]
+	r.firstSub = append(a.firstSub[:0], 0)
+	r.eff = arenaSlice(&a.eff, plan.Nodes)
+	r.ring, r.ringCold = a.ring, a.ringCold
 
-	var zipf *stats.Zipf
+	// The Zipf sampler's rejection-inversion constants depend only on
+	// (rows, exponent), and construction consumes no generator draws, so
+	// one sampler serves every (query, table) stream.
 	switch cfg.Hotness {
 	case trace.OneItem, trace.RandomAccess:
 	default:
-		zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
+		r.zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
 	}
 
-	// SLA-violation minutes bucketize on the configured day when the
-	// stream defines one, else on the run horizon.
-	minuteMs := o.DurationMs / 1440
-	if ar.DayMs > 0 {
-		minuteMs = ar.DayMs / 1440
-	}
-
-	r := &openRun{
-		o:           o,
-		plan:        plan,
-		st:          st,
-		stream:      stream,
-		visitors:    visitors,
-		pop:         pop,
-		zipf:        zipf,
-		active:      active,
-		activeCount: o.StartNodes,
-		as:          o.Autoscale,
-		nextTick:    math.Inf(1),
-		pendingNode: -1,
-		minuteMs:    minuteMs,
-		violated:    a.violatedMap(),
-		queries:     a.queries[:0],
-		firstSub:    append(a.firstSub[:0], 0),
-		eff:         arenaInts(&a.eff, plan.Nodes),
-		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
-		ring:        a.ring,
-		ringCold:    a.ringCold,
-		arena:       a,
-	}
-	if r.as != nil {
-		r.nextTick = r.as.IntervalMs
+	if o == nil {
+		return r, nil
 	}
 	if st.chaos != nil {
-		r.ttrArr, r.ttrGood = a.ttrBuckets(int(o.DurationMs/minuteMs) + 1)
-		clearT := math.Min(st.chaos.clearMs, o.DurationMs)
-		r.pfThresh = math.Max(clearT, o.WarmupMs)
+		// A schedule none of whose windows opens before the horizon never
+		// fires: no recovery to measure, as without a schedule.
+		if clearMs, fired := st.chaos.clearBy(o.DurationMs); fired {
+			r.ttrArr, r.ttrGood = a.ttrBuckets(int(o.DurationMs/r.minuteMs) + 1)
+			r.clearMs = math.Min(clearMs, o.DurationMs)
+			r.pfThresh = math.Max(r.clearMs, o.WarmupMs)
+		}
 	}
 	if o.StreamStats {
-		r.sj = newStreamJoin(o, minuteMs, r.violated)
+		r.sj = newStreamJoin(o, r.minuteMs, r.violated)
 		r.sj.denseMs = cfg.Timing.DenseMs
 		r.sj.ttrArr, r.sj.ttrGood = r.ttrArr, r.ttrGood
 		r.sj.pfThreshMs = r.pfThresh
@@ -489,7 +533,17 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	return r, nil
 }
 
-func (r *openRun) route(n int) int {
+// release recaptures whatever grew during the run into the arena and
+// returns it to the free list.
+func (r *loopRun) release() {
+	a := r.arena
+	a.subs = r.st.subs
+	a.queries, a.firstSub = r.queries, r.firstSub
+	a.ring, a.ringCold = r.ring, r.ringCold
+	a.release()
+}
+
+func (r *loopRun) route(n int) int {
 	for k := 0; k < r.plan.Nodes; k++ {
 		if t := (n + k) % r.plan.Nodes; r.active[t] {
 			return t
@@ -498,36 +552,21 @@ func (r *openRun) route(n int) int {
 	return n // unreachable: the active set never empties
 }
 
-func (r *openRun) backlog(n int, now float64) float64 {
+func (r *loopRun) backlog(n int, now float64) float64 {
 	if b := r.st.queues[n].EarliestFree() - now; b > 0 {
 		return b
 	}
 	return 0
 }
 
-func (r *openRun) noteActive(now float64) {
+func (r *loopRun) noteActive(now float64) {
 	r.nodeMsSum += float64(r.activeCount) * (now - r.lastChange)
 	r.lastChange = now
 }
 
-// sampleRank draws one lookup's hotness rank from any generator — the
-// per-(query,table) stream for fresh lookups, a stateless profile
-// stream for profile lookups, so profile slots keep the marginal
-// hotness distribution while pinning each slot to one row.
-func (r *openRun) sampleRank(rng *stats.RNG) int {
-	switch r.st.cfg.Hotness {
-	case trace.OneItem:
-		return 0
-	case trace.RandomAccess:
-		return rng.Intn(r.plan.Model.RowsPerTable)
-	default:
-		return r.zipf.SampleWith(rng)
-	}
-}
-
 // tick runs one autoscaler control tick. Activation first, so a node
 // ready exactly at this tick serves the decisions below.
-func (r *openRun) tick(now float64) {
+func (r *loopRun) tick(now float64) {
 	as := r.as
 	if r.pendingNode >= 0 && now >= r.pendingReady {
 		r.noteActive(now)
@@ -575,25 +614,27 @@ func (r *openRun) tick(now float64) {
 // happens at processing time — and hot/warm are the replicated and
 // profile-warm counts. A pure function of (Seed, q, user, visit), so
 // the pre-draw ring computes it ahead of the event loop (predraw.go).
-func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, warm int) {
-	cfg := &r.st.cfg
+func (r *loopRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, warm int) {
 	plan := r.plan
 	model := plan.Model
+	seed, h := r.st.cfg.Seed^0x100C, r.st.cfg.Hotness
+	zipf, vis := r.zipf, r.visitors
 	for n := range cold {
 		cold[n] = 0
 	}
 	for t := 0; t < model.Tables; t++ {
-		rng := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x100C, uint64(q*model.Tables+t)))
+		rng := stats.SeededRNG(stats.SplitSeed(seed, uint64(q*model.Tables+t)))
 		for l := 0; l < r.draws; l++ {
 			var rk int
-			fromProfile := false
-			if r.visitors != nil && rng.Float64() < r.visitors.Affinity() {
-				slot := rng.Intn(r.visitors.ProfileSize())
-				pr := r.pop.ProfileStream(user, t, slot)
-				rk = r.sampleRank(&pr)
-				fromProfile = true
-			} else {
-				rk = r.sampleRank(&rng)
+			fromProfile := vis != nil && rng.Float64() < vis.Affinity()
+			switch {
+			case fromProfile:
+				pr := r.pop.ProfileStream(user, t, rng.Intn(vis.ProfileSize()))
+				rk = sampleRank(h, model.RowsPerTable, zipf, &pr)
+			case h == trace.RandomAccess:
+				rk = rng.Intn(model.RowsPerTable)
+			case h != trace.OneItem:
+				rk = zipf.SampleWith(&rng)
 			}
 			switch {
 			case plan.Replicated(rk):
@@ -610,11 +651,26 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 	return hot, warm
 }
 
+// sampleRank draws one profile lookup's hotness rank from its stateless
+// profile stream, as drawArrival draws fresh lookups from the
+// per-(query,table) stream, so profile slots keep the marginal hotness
+// distribution while pinning each slot to one row.
+func sampleRank(h trace.Hotness, rows int, zipf *stats.Zipf, rng *stats.RNG) int {
+	switch h {
+	case trace.OneItem:
+		return 0
+	case trace.RandomAccess:
+		return rng.Intn(rows)
+	default:
+		return zipf.SampleWith(rng)
+	}
+}
+
 // processArrival handles one arrival whose lookups are already drawn:
 // route the cold work through the active set, decide admission off the
 // live queue backlogs, and schedule the sub-request copies onto the
 // wheel. Advances the arrival counter q.
-func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int) {
+func (r *loopRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int) {
 	o := r.o
 	plan := r.plan
 	model := plan.Model
@@ -633,7 +689,7 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 	}
 	joinSlot := -1
 	admitted := true
-	if o.Admission.Policy == ShedOverBudget {
+	if o != nil && o.Admission.Policy == ShedOverBudget {
 		worst := 0.0
 		for n, c := range r.eff {
 			if c == 0 && !(n == home && hot+warm > 0) {
@@ -660,20 +716,17 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 				continue
 			}
 			reqBytes := int64(4*served) + wireHeaderBytes
+			// The response carries partial pooled sums: one EmbDim vector
+			// per (sample, table) slice served, fp32 on the wire.
 			pooled := (served + model.LookupsPerSample - 1) / model.LookupsPerSample
 			respBytes := int64(pooled)*int64(model.EmbDim)*4 + wireHeaderBytes
-			before := len(st.copies)
 			idx := st.schedule(r.q, home, n, served, svcUs/1e3, reqBytes, respBytes, now)
 			if r.sj != nil {
 				st.subs[idx].join = joinSlot
 				r.sj.subAttached(joinSlot)
 			}
-			for _, cp := range st.copies[before:] {
-				r.h.Push(cp)
-			}
-			st.copies = st.copies[:before]
 		}
-		if now >= o.WarmupMs {
+		if st.scored(r.q, now) {
 			r.hotLookups += hot + warm
 			r.totalLookups += hot + warm
 			for _, c := range cold {
@@ -694,22 +747,29 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 // precede arrivals precede copies at equal instants (strict
 // inequalities below encode the tie-break). Arrivals come off the
 // pre-draw ring, which refills over parts workers whenever it drains.
-func (r *openRun) loop(parts int) {
-	o := r.o
+// The loop ends once the arrivals are exhausted and the wheel has
+// drained.
+//
+// Serving a copy only when it arrives strictly before the next arrival
+// reproduces the global (arrive, seq, attempt) order over all copies of
+// the run: every copy arrival q schedules arrives at or after now_q, so
+// no later arrival can schedule a copy that sorts before one already
+// served.
+func (r *loopRun) loop(parts int) {
 	nodes := r.plan.Nodes
-	r.h = r.arena.copyWheel()
+	w := r.st.wheel
 	r.ringFill(parts)
 	for {
 		now := math.Inf(1)
 		kind := 0 // 1 tick, 2 arrival, 3 copy
-		if r.nextTick <= o.DurationMs {
+		if r.as != nil && r.nextTick <= r.endMs {
 			now, kind = r.nextTick, 1
 		}
-		if r.nextArr < o.DurationMs && r.nextArr < now {
+		if r.nextArr < r.endMs && r.nextArr < now {
 			now, kind = r.nextArr, 2
 		}
-		if r.h.Len() > 0 {
-			if min := r.h.Min(); min.arrive < now {
+		if w.Len() > 0 {
+			if min := w.Min(); min.arrive < now {
 				now, kind = min.arrive, 3
 			}
 		}
@@ -729,7 +789,7 @@ func (r *openRun) loop(parts int) {
 				r.nextArr = r.ring[r.ringHead].t
 			}
 		case 3:
-			cp := r.h.Pop()
+			cp := w.Pop()
 			r.st.serveCopy(&cp, r.route(cp.node))
 			if r.sj != nil {
 				r.sj.copyDone(r.st, cp.sub)
@@ -738,27 +798,11 @@ func (r *openRun) loop(parts int) {
 	}
 }
 
-// simulateOpen runs the open-loop live-traffic simulation. cfg has been
-// default-applied; cfg.Open is non-nil.
-func simulateOpen(cfg Config) (Result, error) {
-	r, err := newOpenRun(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	r.loop(execParts(openPredrawBlock))
-	res := r.summary()
-	a := r.arena
-	a.subs, a.copies = r.st.subs, r.st.copies
-	a.queries, a.firstSub = r.queries, r.firstSub
-	a.ring, a.ringCold = r.ring, r.ringCold
-	a.release()
-	return res, nil
-}
-
 // summary folds the run into a Result — the batch join over retained
 // queries, or the stream join's accumulators — plus the fleet-level
-// accounting shared by both modes.
-func (r *openRun) summary() Result {
+// accounting shared by both modes. A closed-loop run measures its
+// horizon up to the last finish and leaves the open-only fields zero.
+func (r *loopRun) summary() Result {
 	o := r.o
 	plan := r.plan
 	st := r.st
@@ -767,12 +811,9 @@ func (r *openRun) summary() Result {
 	queries, firstSub := r.queries, r.firstSub
 	violated, minuteMs := r.violated, r.minuteMs
 	hotLookups, totalLookups := r.hotLookups, r.totalLookups
-	r.noteActive(o.DurationMs)
-	nodeMsSum := r.nodeMsSum
 
-	window := o.DurationMs - o.WarmupMs
 	var pct []float64
-	var mean float64
+	var mean, simEnd float64
 	var nLat int
 	var fanoutSum, subCount, hedgeCount, retryCount, fullJoins int
 	var postArr, postShed, postRevisit, goodCount int
@@ -799,13 +840,14 @@ func (r *openRun) summary() Result {
 			streamHighWater(sj.maxLiveSubs, sj.maxLiveJoins)
 		}
 	} else {
-		// Batch join: identical to the closed-loop phase 3, over admitted
-		// queries, plus the SLA/goodput/shed accounting. The sample slice
-		// is sized from the admitted post-warmup count (the closed loop
-		// preallocates the same way), so the append loop never reallocates.
+		// Batch join: each admitted query joins on its slowest surviving
+		// sub-request (or, degraded, on the deadline the router abandons
+		// the slowest shard at), then the dense stages are charged at the
+		// router. The sample slice is sized from the admitted post-warmup
+		// count, so the append loop never reallocates.
 		nSamples := 0
-		for _, oq := range queries {
-			if oq.admitted && oq.arrive >= o.WarmupMs {
+		for i, oq := range queries {
+			if oq.admitted && st.scored(i, oq.arrive) {
 				nSamples++
 			}
 		}
@@ -814,7 +856,7 @@ func (r *openRun) summary() Result {
 		}
 		latencies := r.arena.latencies[:0]
 		for i, oq := range queries {
-			post := oq.arrive >= o.WarmupMs
+			post := st.scored(i, oq.arrive)
 			if post {
 				postArr++
 				if oq.revisit {
@@ -855,12 +897,15 @@ func (r *openRun) summary() Result {
 				}
 			}
 			finish := joined + cfg.Timing.DenseMs
+			if finish > simEnd {
+				simEnd = finish
+			}
 			if !post {
 				continue
 			}
 			lat := finish - oq.arrive
 			latencies = append(latencies, lat)
-			if lat <= o.SLAMs {
+			if lat <= r.slaMs {
 				goodCount++
 				if r.ttrArr != nil {
 					r.ttrGood[int(oq.arrive/minuteMs)]++
@@ -897,10 +942,6 @@ func (r *openRun) summary() Result {
 		MaxQueueWaitMs:      st.maxWait,
 		ReplicaBytesPerNode: plan.ReplicaBytesPerNode(),
 		MaxShardBytes:       plan.MaxShardBytes(),
-		OfferedQPS:          float64(postArr) / (window / 1e3),
-		Goodput:             float64(goodCount) / (window / 1e3),
-		SLAViolationMinutes: float64(len(violated)),
-		MeanActiveNodes:     nodeMsSum / o.DurationMs,
 		ScaleUps:            r.scaleUps,
 		ScaleDowns:          r.scaleDowns,
 	}
@@ -917,17 +958,79 @@ func (r *openRun) summary() Result {
 	if st.adapt != nil {
 		res.BreakerOpenMinutes = st.adapt.finalize() / 60000
 	}
+	// The run's horizon: the open loop's configured duration, the closed
+	// loop's last finish.
+	horizon := simEnd
+	if o != nil {
+		horizon = o.DurationMs
+	}
 	res.DomainAvailability = 1
-	if st.chaos != nil {
-		res.DomainAvailability = 1 - st.chaos.outageMs(o.DurationMs)/(float64(st.chaos.domains)*o.DurationMs)
-		// Time to recover: the earliest minute bucket past the schedule's
-		// clear instant from which every later non-empty bucket keeps an
-		// in-SLA fraction of at least 1-recoverEps. Empty buckets are
-		// neutral; -1 means the fleet never re-entered a sustained good
-		// regime before the horizon (the metastable signature).
-		clearT := math.Min(st.chaos.clearMs, o.DurationMs)
+	if st.chaos != nil && horizon > 0 {
+		res.DomainAvailability = 1 - st.chaos.outageMs(horizon)/(float64(st.chaos.domains)*horizon)
+	}
+	if subCount > 0 {
+		res.HedgeRate = float64(hedgeCount) / float64(subCount)
+	}
+	if totalLookups > 0 {
+		res.LocalFraction = float64(hotLookups) / float64(totalLookups)
+	}
+	var busySum, busyMax float64
+	for _, qu := range st.queues {
+		b := qu.BusyMs()
+		busySum += b
+		if b > busyMax {
+			busyMax = b
+		}
+	}
+	if busySum > 0 {
+		res.Imbalance = busyMax / (busySum / float64(plan.Nodes))
+	}
+	if o == nil {
+		if simEnd > 0 {
+			res.Utilization = busySum / (simEnd * float64(plan.Nodes*cfg.ServersPerNode))
+		}
+	} else {
+		r.openSummary(&res, busySum, postArr, postShed, postRevisit, goodCount)
+	}
+	if check.Enabled {
+		finite := check.Finite
+		check.Assert(finite(res.P50) && finite(res.P99) && finite(res.Mean) && finite(res.Utilization),
+			"cluster: non-finite latency summary (p50 %g, p99 %g, mean %g, util %g)",
+			res.P50, res.P99, res.Mean, res.Utilization)
+		check.Assert(finite(res.RetryAmplification) && finite(res.DomainAvailability),
+			"cluster: impossible recovery accounting (amplification %g, domain availability %g)",
+			res.RetryAmplification, res.DomainAvailability)
+	}
+	return res
+}
+
+// openSummary fills the open-loop-only fields: offered load, goodput,
+// shedding, SLA violation minutes, the active set, and recovery from the
+// chaos schedule. Capacity for Utilization is the time-integrated active
+// set (node·ms), not nodes×horizon — a drained node contributes none.
+func (r *loopRun) openSummary(res *Result, busySum float64, postArr, postShed, postRevisit, goodCount int) {
+	o := r.o
+	r.noteActive(o.DurationMs)
+	window := o.DurationMs - o.WarmupMs
+	res.OfferedQPS = float64(postArr) / (window / 1e3)
+	res.Goodput = float64(goodCount) / (window / 1e3)
+	res.SLAViolationMinutes = float64(len(r.violated))
+	res.MeanActiveNodes = r.nodeMsSum / o.DurationMs
+	if postArr > 0 {
+		res.ShedRate = float64(postShed) / float64(postArr)
+		res.RevisitRate = float64(postRevisit) / float64(postArr)
+	}
+	if r.nodeMsSum > 0 {
+		res.Utilization = busySum / (r.nodeMsSum * float64(r.st.cfg.ServersPerNode))
+	}
+	if r.ttrArr != nil {
+		// Time to recover: the earliest minute bucket past the clear
+		// instant from which every later non-empty bucket keeps an in-SLA
+		// fraction of at least 1-recoverEps. Empty buckets are neutral; -1
+		// means the fleet never re-entered a sustained good regime before
+		// the horizon (the metastable signature).
 		recB := -1
-		for b := len(r.ttrArr) - 1; b >= int(clearT/minuteMs)+1; b-- {
+		for b := len(r.ttrArr) - 1; b >= int(r.clearMs/r.minuteMs)+1; b-- {
 			if r.ttrArr[b] == 0 {
 				continue
 			}
@@ -939,54 +1042,19 @@ func (r *openRun) summary() Result {
 		}
 		res.TimeToRecoverMs = -1
 		if recB >= 0 {
-			res.TimeToRecoverMs = math.Max(0, float64(recB)*minuteMs-clearT)
+			res.TimeToRecoverMs = math.Max(0, float64(recB)*r.minuteMs-r.clearMs)
 		}
 		if pfWindow := o.DurationMs - r.pfThresh; pfWindow > 0 {
 			res.PostFaultOfferedQPS = float64(r.pfArr) / (pfWindow / 1e3)
 			res.PostFaultGoodput = float64(r.pfGood) / (pfWindow / 1e3)
 		}
 	}
-	if postArr > 0 {
-		res.ShedRate = float64(postShed) / float64(postArr)
-		res.RevisitRate = float64(postRevisit) / float64(postArr)
-	}
-	if subCount > 0 {
-		res.HedgeRate = float64(hedgeCount) / float64(subCount)
-	}
-	if totalLookups > 0 {
-		res.LocalFraction = float64(hotLookups) / float64(totalLookups)
-	}
-	var busySum float64
-	busyByNode := make([]float64, plan.Nodes)
-	for n, qu := range st.queues {
-		busyByNode[n] = qu.BusyMs()
-		busySum += busyByNode[n]
-	}
-	// Capacity is the time-integrated active set (node·ms), not
-	// nodes×horizon — a drained node contributes no capacity.
-	if nodeMsSum > 0 {
-		res.Utilization = busySum / (nodeMsSum * float64(cfg.ServersPerNode))
-	}
-	var busyMax float64
-	for _, b := range busyByNode {
-		if b > busyMax {
-			busyMax = b
-		}
-	}
-	if busySum > 0 {
-		res.Imbalance = busyMax / (busySum / float64(plan.Nodes))
-	}
 	if check.Enabled {
 		finite := check.Finite
-		check.Assert(finite(res.P99) && finite(res.Goodput) && finite(res.ShedRate) && finite(res.Utilization),
-			"cluster: non-finite open-loop summary (p99 %g, goodput %g, shed %g, util %g)",
-			res.P99, res.Goodput, res.ShedRate, res.Utilization)
-		check.Assert(res.SLAViolationMinutes >= 0 && res.MeanActiveNodes > 0,
-			"cluster: impossible open-loop accounting (violation minutes %g, active nodes %g)",
-			res.SLAViolationMinutes, res.MeanActiveNodes)
-		check.Assert(finite(res.RetryAmplification) && finite(res.DomainAvailability) && res.TimeToRecoverMs >= -1,
-			"cluster: impossible recovery accounting (amplification %g, domain availability %g, recover %g ms)",
-			res.RetryAmplification, res.DomainAvailability, res.TimeToRecoverMs)
+		check.Assert(finite(res.Goodput) && finite(res.ShedRate),
+			"cluster: non-finite open-loop summary (goodput %g, shed %g)", res.Goodput, res.ShedRate)
+		check.Assert(res.SLAViolationMinutes >= 0 && res.MeanActiveNodes > 0 && res.TimeToRecoverMs >= -1,
+			"cluster: impossible open-loop accounting (violation minutes %g, active nodes %g, recover %g ms)",
+			res.SLAViolationMinutes, res.MeanActiveNodes, res.TimeToRecoverMs)
 	}
-	return res
 }

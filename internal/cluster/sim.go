@@ -3,9 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"slices"
 
-	"dlrmsim/internal/check"
+	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
@@ -113,8 +112,8 @@ func (c *Config) applyDefaults() error {
 		c.Open = &open
 		return c.Open.applyDefaults(c.Plan.Nodes)
 	}
-	if c.MeanArrivalMs <= 0 {
-		return fmt.Errorf("cluster: non-positive mean arrival %g", c.MeanArrivalMs)
+	if !(c.MeanArrivalMs > 0) || math.IsInf(c.MeanArrivalMs, 1) {
+		return fmt.Errorf("cluster: non-positive or non-finite mean arrival %g", c.MeanArrivalMs)
 	}
 	if c.Queries == 0 {
 		c.Queries = 2000
@@ -266,6 +265,9 @@ const (
 // in true arrival order even though hedges and retries launch between
 // later queries' dispatches. arrive folds in the transport's deterministic
 // drop re-send delay, so every copy eventually reaches its node.
+// A copy never arrives before its query does (transit and every shift
+// are non-negative), which is what lets the event loop interleave
+// arrivals with copies off one monotone wheel.
 type subCopy struct {
 	arrive  float64 // at the node: launch + drop re-sends + request hop
 	launch  float64 // router-side launch deadline (condition reference)
@@ -286,28 +288,35 @@ type simState struct {
 	chaos    *chaosState // materialized chaos schedule (nil = none)
 	adapt    *adaptState // epoch-grid adaptive mitigation (nil = static)
 	subs     []subState
-	copies   []subCopy
-	warmupMs float64 // open-loop warmup horizon (0 in closed-loop mode)
-	maxWait  float64 // worst post-warmup queueing delay (satellite fix:
+	wheel    *eventq.Wheel[subCopy] // scheduled copies, in copyLess order
+	warmupMs float64                // open-loop warmup horizon (0 in closed-loop mode)
+	maxWait  float64                // worst post-warmup queueing delay (satellite fix:
 	// warmup queries' waits are excluded, matching serve.Simulate)
 
 	// Stream-stats recycling (openloop.go). subSeq is the monotone
 	// creation counter copies carry as their tie key; with recycle set,
 	// finalized sub slots return to freeSubs and the live set stays at
 	// the in-flight high-water mark instead of growing with the run.
-	// Without recycling seq always equals the slot index, so the
-	// (arrive, seq, attempt) order is bit-for-bit the historical
-	// (arrive, sub, attempt) order.
+	// Without recycling seq always equals the slot index.
 	recycle  bool
 	subSeq   int
 	freeSubs []int
 }
 
-// schedule plans every copy one sub-request may launch: the primary at
-// dispatch, an optional hedged backup to the shard's standby owner at
-// dispatch+HedgeDelayMs, and timeout retries down the standby chain at
-// dispatch+k·TimeoutMs. Conditional copies are skipped at processing time
-// when a response beat their launch deadline.
+// scored reports whether query q, arriving at t, is past both warmup
+// gates and so counts in the metrics: the closed loop's by count
+// (WarmupQueries; warmupMs is 0) and the open loop's by time (warmupMs;
+// WarmupQueries is 0).
+func (s *simState) scored(q int, t float64) bool {
+	return q >= s.cfg.WarmupQueries && t >= s.warmupMs
+}
+
+// schedule plans every copy one sub-request may launch and pushes them
+// onto the copy wheel: the primary at dispatch, an optional hedged
+// backup to the shard's standby owner at dispatch+HedgeDelayMs, and
+// timeout retries down the standby chain at dispatch+k·TimeoutMs.
+// Conditional copies are skipped at processing time when a response
+// beat their launch deadline.
 // schedule returns the sub's slot in s.subs so the open-loop
 // stream-stats joiner can attach it to a join record. home is the
 // query's home node — the router's location for chaos partition
@@ -338,7 +347,7 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 			shift += ps
 			resends += pr
 		}
-		s.copies = append(s.copies, subCopy{
+		s.wheel.Push(subCopy{
 			arrive:  launch + shift + transit,
 			launch:  launch,
 			sub:     idx,
@@ -363,60 +372,35 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 	return idx
 }
 
-// run processes every scheduled copy in node-arrival order. A conditional
-// copy launches only when no response beat its deadline; comparing against
-// resolved copies is exact because an unresolved copy's arrival — and
-// hence its response — is no earlier than the arrival being processed.
-// attempt 0 keeps the legacy jitter stream, so fault-free runs are
-// byte-identical to the pre-fault simulator.
-func (s *simState) run() {
-	// Every copy is known up front, so a one-shot sort orders them: the
-	// copies are nearly sorted already (queries dispatch in arrival
-	// order) and pdqsort exploits that. See DESIGN.md §9 for the
-	// alternatives tried.
-	slices.SortFunc(s.copies, copyCmp)
-	prevArrive := math.Inf(-1)
-	for i := range s.copies {
-		c := &s.copies[i]
-		if check.Enabled {
-			check.Assert(c.arrive >= prevArrive && !math.IsNaN(c.arrive),
-				"cluster: copy arrivals not monotone (%g after %g)", c.arrive, prevArrive)
-			prevArrive = c.arrive
-		}
-		s.serveCopy(c, c.node)
+// copyLess is the canonical (arrive, seq, attempt) total order the
+// event loop serves copies in, through the copy wheel. No two copies
+// share a (seq, attempt) pair, so the order is total. The tie key is the
+// sub's monotone creation seq, which equals the slot index except under
+// stream-stats slot recycling.
+func copyLess(a, b subCopy) bool {
+	if a.arrive != b.arrive {
+		return a.arrive < b.arrive
 	}
-}
-
-// copyCmp is the canonical (arrive, seq, attempt) total order both
-// loops serve copies in: the closed loop's sort and the open loop's
-// wheel (copyLess). No two copies share a (seq, attempt) pair, so the
-// unstable sort is deterministic. The tie key is the sub's monotone
-// creation seq, which equals the slot index except under stream-stats
-// slot recycling.
-func copyCmp(a, b subCopy) int {
-	switch {
-	case a.arrive < b.arrive:
-		return -1
-	case a.arrive > b.arrive:
-		return 1
-	case a.seq != b.seq:
-		return a.seq - b.seq
-	default:
-		return a.attempt - b.attempt
+	if a.seq != b.seq {
+		return a.seq < b.seq
 	}
+	return a.attempt < b.attempt
 }
-
-func copyLess(a, b subCopy) bool { return copyCmp(a, b) < 0 }
 
 func copyArrive(c subCopy) float64 { return c.arrive }
 
 // serveCopy processes one copy at its node-arrival instant: conditional
 // launch suppression, fault application, jitter, FCFS submission, and the
 // router-side best-response update. node is the effective target — equal
-// to c.node in closed-loop mode, but the open-loop simulator re-routes
-// copies whose planned node was drained from the active set between
-// scheduling and arrival. Callers must invoke it in (arrive, sub, attempt)
-// order, the global node-arrival order the FCFS queues require.
+// to c.node unless the autoscaler drained the planned node from the
+// active set between scheduling and arrival. Callers must invoke it in
+// (arrive, seq, attempt) order, the global node-arrival order the FCFS
+// queues require. A conditional copy launches only when no response beat
+// its deadline; comparing against resolved copies is exact because an
+// unresolved copy's arrival — and hence its response — is no earlier
+// than the arrival being processed. attempt 0 keeps the legacy jitter
+// stream, so fault-free runs are byte-identical to the pre-fault
+// simulator.
 func (s *simState) serveCopy(c *subCopy, node int) {
 	ad := s.adapt
 	if ad != nil {
@@ -463,7 +447,7 @@ func (s *simState) serveCopy(c *subCopy, node int) {
 		svc *= serve.Jitter(cfg.JitterFrac, draw)
 	}
 	start, done := s.queues[node].Submit(c.arrive, svc)
-	if sub.q >= cfg.WarmupQueries && sub.dispatch >= s.warmupMs {
+	if s.scored(sub.q, sub.dispatch) {
 		if w := start - c.arrive; w > s.maxWait {
 			s.maxWait = w
 		}
@@ -513,222 +497,22 @@ func (s *simState) resolve(sub *subState) (doneAt float64, ok bool) {
 // and each node's fault timeline are all pure functions of (Seed, index)
 // via stats.SplitSeed, so the result is a pure function of the config.
 //
-// With Open set, the run switches to the open-loop live-traffic mode in
-// openloop.go: a time-driven traffic stream replaces the closed-loop
-// Poisson count, and admission control, the user population, and the
-// autoscaler come into play.
+// Both load modes run the one event loop in openloop.go. Without Open it
+// is fed a fixed count of Queries arrivals at exponential gaps of mean
+// MeanArrivalMs, with every query admitted and no autoscaler. With Open
+// set, a time-driven traffic stream replaces the count, and admission
+// control, the user population, and the autoscaler come into play.
 func Simulate(cfg Config) (Result, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Open != nil {
-		return simulateOpen(cfg)
+	r, err := newLoopRun(cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	plan := cfg.Plan
-	model := plan.Model
-	a := acquireArena()
-	st := &simState{
-		cfg:    cfg,
-		plan:   plan,
-		queues: a.queueSet(plan.Nodes, cfg.ServersPerNode),
-	}
-	if cfg.Faults.Active() {
-		st.faults = newFaultState(cfg.Faults, cfg.Seed, plan.Nodes)
-	}
-	if cfg.Chaos.Active() {
-		st.chaos = a.chaosFor(&cfg.Chaos, plan.Nodes)
-	}
-	if cfg.Mitigation.adaptive() {
-		st.adapt = a.adaptFor(&cfg.Mitigation, plan.Nodes)
-	}
-	// Seed the scheduling scratch: one sub-request per query is the floor
-	// (the home node always serves), and the copy count per sub-request is
-	// fixed by the mitigation policy. Growth beyond this is amortized.
-	copiesPerSub := 1
-	if cfg.Mitigation.HedgeDelayMs > 0 {
-		copiesPerSub++
-	}
-	if cfg.Mitigation.TimeoutMs > 0 {
-		copiesPerSub += cfg.Mitigation.MaxRetries
-	}
-	if cap(a.subs) < cfg.Queries {
-		a.subs = make([]subState, 0, cfg.Queries)
-	}
-	if cap(a.copies) < cfg.Queries*copiesPerSub {
-		a.copies = make([]subCopy, 0, cfg.Queries*copiesPerSub)
-	}
-	st.subs = a.subs[:0]
-	st.copies = a.copies[:0]
-	arrivals := stats.NewRNG(stats.SplitSeed(cfg.Seed^0xA221, 0))
-
-	// Phase 1: draw each query's arrival and lookups, split them by the
-	// plan, and schedule every sub-request copy the router might launch.
-	nows := arenaFloats(&a.nows, cfg.Queries)
-	firstSub := arenaInts(&a.firstSub, cfg.Queries+1)
-	if cap(a.latencies) < cfg.Queries-cfg.WarmupQueries {
-		a.latencies = make([]float64, 0, cfg.Queries-cfg.WarmupQueries)
-	}
-	latencies := a.latencies[:0]
-	var now, simEnd float64
-	var fanoutSum, hotLookups, totalLookups int
-	var subCount, hedgeCount, retryCount, fullJoins int
-	var completenessSum float64
-
-	// The Zipf sampler's rejection-inversion constants depend only on
-	// (rows, exponent), and construction consumes no generator draws, so
-	// one sampler serves every (query, table) stream; each stream keeps
-	// its own generator below, making the draws byte-identical to the
-	// per-stream samplers this replaces.
-	var zipf *stats.Zipf
-	switch cfg.Hotness {
-	case trace.OneItem, trace.RandomAccess:
-	default:
-		zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
-	}
-
-	// The lookup draws — the bulk of phase 1 — are pre-computed over the
-	// execution backend's workers; the arrival stream and copy
-	// scheduling below stay sequential (they are cheap and stateful).
-	draws := cfg.SamplesPerQuery * model.LookupsPerSample
-	preHot := arenaInts(&a.preHot, cfg.Queries)
-	preCold := arenaInts(&a.preCold, cfg.Queries*plan.Nodes)
-	st.predrawQueries(zipf, draws, cfg.Queries, execParts(cfg.Queries), preHot, preCold)
-	for q := 0; q < cfg.Queries; q++ {
-		now += arrivals.ExpFloat64() * cfg.MeanArrivalMs
-		nows[q] = now
-		firstSub[q] = len(st.subs)
-		home := q % plan.Nodes
-		hot := preHot[q]
-		coldq := preCold[q*plan.Nodes : (q+1)*plan.Nodes]
-
-		// Fan out: one sub-request per involved node, with a network hop
-		// and message transfer each way.
-		for n := 0; n < plan.Nodes; n++ {
-			served := coldq[n]
-			svcUs := cfg.Timing.SubRequestUs + cfg.Timing.ColdLookupUs*float64(coldq[n])
-			if n == home && hot > 0 {
-				served += hot
-				svcUs += cfg.Timing.HotLookupUs * float64(hot)
-			}
-			if served == 0 {
-				continue
-			}
-			reqBytes := int64(4*served) + wireHeaderBytes
-			// The response carries partial pooled sums: one EmbDim vector
-			// per (sample, table) slice served, fp32 on the wire.
-			pooled := (served + model.LookupsPerSample - 1) / model.LookupsPerSample
-			respBytes := int64(pooled)*int64(model.EmbDim)*4 + wireHeaderBytes
-			st.schedule(q, home, n, served, svcUs/1e3, reqBytes, respBytes, now)
-		}
-		if q >= cfg.WarmupQueries {
-			hotLookups += hot
-			totalLookups += hot
-			for _, c := range coldq {
-				totalLookups += c
-			}
-		}
-	}
-	firstSub[cfg.Queries] = len(st.subs)
-
-	// Phase 2: serve every copy in node-arrival order, FCFS per node.
-	st.run()
-
-	// Phase 3: join each query on its slowest surviving sub-request (or,
-	// degraded, on the deadline the router abandons the slowest shard at),
-	// then charge the dense stages at the router.
-	for q := 0; q < cfg.Queries; q++ {
-		joined := nows[q]
-		queryLookups, servedLookups := 0, 0
-		hedges, retries := 0, 0
-		complete := true
-		for i := firstSub[q]; i < firstSub[q+1]; i++ {
-			sub := &st.subs[i]
-			doneAt, ok := st.resolve(sub)
-			if doneAt > joined {
-				joined = doneAt
-			}
-			queryLookups += sub.served
-			retries += sub.retries
-			if sub.hedged {
-				hedges++
-			}
-			if ok {
-				servedLookups += sub.served
-			} else {
-				complete = false
-			}
-		}
-		finish := joined + cfg.Timing.DenseMs
-		if finish > simEnd {
-			simEnd = finish
-		}
-		if q < cfg.WarmupQueries {
-			continue
-		}
-		latencies = append(latencies, finish-nows[q])
-		fanoutSum += firstSub[q+1] - firstSub[q]
-		subCount += firstSub[q+1] - firstSub[q]
-		hedgeCount += hedges
-		retryCount += retries
-		if complete {
-			fullJoins++
-		}
-		if queryLookups > 0 {
-			completenessSum += float64(servedLookups) / float64(queryLookups)
-		} else {
-			completenessSum++
-		}
-	}
-
-	pct := stats.Percentiles(latencies, 0.50, 0.95, 0.99)
-	res := Result{
-		P50:                 pct[0],
-		P95:                 pct[1],
-		P99:                 pct[2],
-		Mean:                stats.Mean(latencies),
-		MeanFanout:          float64(fanoutSum) / float64(len(latencies)),
-		MaxQueueWaitMs:      st.maxWait,
-		Availability:        float64(fullJoins) / float64(len(latencies)),
-		Completeness:        completenessSum / float64(len(latencies)),
-		RetriesPerQuery:     float64(retryCount) / float64(len(latencies)),
-		ReplicaBytesPerNode: plan.ReplicaBytesPerNode(),
-		MaxShardBytes:       plan.MaxShardBytes(),
-	}
-	res.RetryAmplification = float64(subCount+hedgeCount+retryCount) / float64(len(latencies))
-	if st.adapt != nil {
-		res.BreakerOpenMinutes = st.adapt.finalize() / 60000
-	}
-	res.DomainAvailability = 1
-	if st.chaos != nil && simEnd > 0 {
-		res.DomainAvailability = 1 - st.chaos.outageMs(simEnd)/(float64(st.chaos.domains)*simEnd)
-	}
-	if subCount > 0 {
-		res.HedgeRate = float64(hedgeCount) / float64(subCount)
-	}
-	if totalLookups > 0 {
-		res.LocalFraction = float64(hotLookups) / float64(totalLookups)
-	}
-	var busySum, busyMax float64
-	for _, qu := range st.queues {
-		b := qu.BusyMs()
-		busySum += b
-		if b > busyMax {
-			busyMax = b
-		}
-	}
-	if simEnd > 0 {
-		res.Utilization = busySum / (simEnd * float64(plan.Nodes*cfg.ServersPerNode))
-	}
-	if busySum > 0 {
-		res.Imbalance = busyMax / (busySum / float64(plan.Nodes))
-	}
-	if check.Enabled {
-		check.Assert(check.Finite(res.P50) && check.Finite(res.P99) && check.Finite(res.Mean) && check.Finite(res.Utilization),
-			"cluster: non-finite latency summary (p50 %g, p99 %g, mean %g, util %g)",
-			res.P50, res.P99, res.Mean, res.Utilization)
-	}
-	a.subs, a.copies, a.latencies = st.subs, st.copies, latencies
-	a.release()
+	r.loop(execParts(predrawBlock))
+	res := r.summary()
+	r.release()
 	return res, nil
 }
 

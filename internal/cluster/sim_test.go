@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"dlrmsim/internal/trace"
@@ -180,6 +181,13 @@ func TestConfigValidation(t *testing.T) {
 	bad.MeanArrivalMs = 0
 	if _, err := Simulate(bad); err == nil {
 		t.Error("accepted zero arrival")
+	}
+	for _, arrival := range []float64{math.NaN(), math.Inf(1)} {
+		bad = good
+		bad.MeanArrivalMs = arrival
+		if _, err := Simulate(bad); err == nil {
+			t.Errorf("accepted mean arrival %g", arrival)
+		}
 	}
 	bad = good
 	bad.Timing.ColdLookupUs = 0

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Validate reports every violation in the cluster configuration at once
@@ -26,8 +27,8 @@ func (c Config) Validate() error {
 	if c.SamplesPerQuery < 1 {
 		errs = append(errs, fmt.Errorf("cluster: %d samples per query", c.SamplesPerQuery))
 	}
-	if c.Open == nil && c.MeanArrivalMs <= 0 {
-		errs = append(errs, fmt.Errorf("cluster: non-positive mean arrival %g ms", c.MeanArrivalMs))
+	if c.Open == nil && (!(c.MeanArrivalMs > 0) || math.IsInf(c.MeanArrivalMs, 1)) {
+		errs = append(errs, fmt.Errorf("cluster: non-positive or non-finite mean arrival %g ms", c.MeanArrivalMs))
 	}
 	if err := c.Timing.Validate(); err != nil {
 		errs = append(errs, err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,6 +55,16 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error missing %q:\n%v", want, err)
+		}
+	}
+	// A non-finite mean arrival is a violation too: NaN slips past a
+	// plain non-positive check, and both NaN and +Inf would turn every
+	// latency into NaN.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		c := cfg
+		c.MeanArrivalMs = bad
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "mean arrival") {
+			t.Errorf("Validate with mean arrival %g: error %v does not report it", bad, err)
 		}
 	}
 }

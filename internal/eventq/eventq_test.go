@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -209,6 +210,9 @@ func TestNewWheelValidation(t *testing.T) {
 	for _, bad := range []func(){
 		func() { NewWheel(0, 8, 0, evTime, evLess) },
 		func() { NewWheel(1, 0, 0, evTime, evLess) },
+		func() { NewWheel(math.NaN(), 8, 0, evTime, evLess) },
+		func() { NewWheel(1, 8, 0, evTime, evLess).Reset(0, 0) },
+		func() { NewWheel(1, 8, 0, evTime, evLess).Reset(0, math.NaN()) },
 	} {
 		func() {
 			defer func() {
@@ -222,21 +226,27 @@ func TestNewWheelValidation(t *testing.T) {
 }
 
 // TestWheelResetReuse: a Reset wheel must behave exactly like a fresh
-// NewWheel at the new start time — including after a partial drain that
-// left events in the ring, the overflow area, and a half-consumed
-// in-drain bucket — and steady-state reuse must not allocate.
+// NewWheel at the new start time and bucket width — including after a
+// partial drain that left events in the ring, the overflow area, and a
+// half-consumed in-drain bucket — and steady-state reuse must not
+// allocate.
 func TestWheelResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	w := NewWheel(0.5, 8, 0, evTime, evLess)
-	for round := 0; round < 4; round++ {
+	// The widths change between rounds: coarser than the event spacing
+	// (multi-event buckets), finer (events spread into the overflow), and
+	// back, so a stale width surviving Reset would misplace events.
+	for round, width := range []float64{0.5, 0.5, 4, 0.05, 0.5, 2} {
 		start := float64(round * 1000)
-		w.Reset(start)
+		w.Reset(start, width)
+		fresh := NewWheel(width, 8, start, evTime, evLess)
 		events := randomEvents(rng, 200)
 		for i := range events {
 			events[i].t += start
 		}
 		for _, e := range events {
 			w.Push(e)
+			fresh.Push(e)
 		}
 		// Drain only half on odd rounds so Reset must clear mid-drain
 		// bucket state and a non-empty overflow.
@@ -247,8 +257,12 @@ func TestWheelResetReuse(t *testing.T) {
 			n /= 2
 		}
 		for i := 0; i < n; i++ {
-			if got := w.Pop(); got != want[i] {
-				t.Fatalf("round %d pop[%d] = %+v, want %+v", round, i, got, want[i])
+			got, ref := w.Pop(), fresh.Pop()
+			if got != ref {
+				t.Fatalf("round %d (width %g) pop[%d] = %+v, fresh wheel popped %+v", round, width, i, got, ref)
+			}
+			if got != want[i] {
+				t.Fatalf("round %d (width %g) pop[%d] = %+v, want %+v", round, width, i, got, want[i])
 			}
 		}
 	}
@@ -256,7 +270,7 @@ func TestWheelResetReuse(t *testing.T) {
 	// allocation-free.
 	events := randomEvents(rng, 100)
 	allocs := testing.AllocsPerRun(20, func() {
-		w.Reset(0)
+		w.Reset(0, 0.5)
 		for _, e := range events {
 			w.Push(e)
 		}
@@ -276,7 +290,7 @@ func TestWheelResetClearsMonotoneContract(t *testing.T) {
 	w := NewWheel(1.0, 4, 100, evTime, evLess)
 	w.Push(ev{t: 500})
 	w.Pop()
-	w.Reset(0)
+	w.Reset(0, 1.0)
 	w.Push(ev{t: 1}) // earlier than the popped 500: legal after Reset
 	if got := w.Pop(); got.t != 1 {
 		t.Fatalf("popped %+v", got)

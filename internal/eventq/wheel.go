@@ -50,7 +50,7 @@ type bucket[T any] struct {
 // starting at time start. time extracts an event's fire time; less is
 // the full total order (time-primary, all ties broken) that pops obey.
 func NewWheel[T any](width float64, buckets int, start float64, time func(T) float64, less func(a, b T) bool) *Wheel[T] {
-	if width <= 0 || buckets <= 0 {
+	if !(width > 0) || buckets <= 0 {
 		panic("eventq: wheel needs positive width and bucket count")
 	}
 	return &Wheel[T]{
@@ -66,11 +66,15 @@ func NewWheel[T any](width float64, buckets int, start float64, time func(T) flo
 // Len returns the number of queued events.
 func (w *Wheel[T]) Len() int { return w.ringLen + len(w.overNew) }
 
-// Reset empties the wheel and rebases it at time start, keeping every
-// bucket's capacity — the arena-reuse hook for per-run (and, in the
-// parallel cluster backend, per-partition) wheel recycling. Elements
-// are zeroed so a reused wheel retains no references.
-func (w *Wheel[T]) Reset(start float64) {
+// Reset empties the wheel and rebases it at time start with buckets
+// width wide, keeping every bucket's capacity — the arena-reuse hook for
+// per-run wheel recycling, where each run sizes its buckets to its own
+// event density. Elements are zeroed so a reused wheel retains no
+// references.
+func (w *Wheel[T]) Reset(start, width float64) {
+	if !(width > 0) {
+		panic("eventq: wheel needs positive width and bucket count")
+	}
 	var zero T
 	for i := range w.buckets {
 		b := &w.buckets[i]
@@ -86,6 +90,7 @@ func (w *Wheel[T]) Reset(start float64) {
 	}
 	w.overNew = w.overNew[:0]
 	w.ringLen = 0
+	w.width = width
 	w.origin = start
 	w.curAbs = 0
 	w.horizon = int64(len(w.buckets))
