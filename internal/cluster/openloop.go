@@ -619,6 +619,10 @@ func (r *loopRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 	model := plan.Model
 	seed, h := r.st.cfg.Seed^0x100C, r.st.cfg.Hotness
 	zipf, vis := r.zipf, r.visitors
+	var prof traffic.UserProfile
+	if vis != nil {
+		prof = r.pop.Profile(user)
+	}
 	for n := range cold {
 		cold[n] = 0
 	}
@@ -629,7 +633,7 @@ func (r *loopRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 			fromProfile := vis != nil && rng.Float64() < vis.Affinity()
 			switch {
 			case fromProfile:
-				pr := r.pop.ProfileStream(user, t, rng.Intn(vis.ProfileSize()))
+				pr := prof.Stream(t, rng.Intn(vis.ProfileSize()))
 				rk = sampleRank(h, model.RowsPerTable, zipf, &pr)
 			case h == trace.RandomAccess:
 				rk = rng.Intn(model.RowsPerTable)

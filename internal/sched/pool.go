@@ -158,8 +158,10 @@ func (p *Pool) ExecCounts() []int64 {
 	return append([]int64(nil), p.execCount...)
 }
 
-// Close drains outstanding tasks and stops the workers. It is safe to
-// call once; Submit after Close fails.
+// Close drains outstanding tasks and stops the workers; when it returns,
+// every submitted task has run and ExecCounts is final. Close is
+// idempotent: later calls find the workers already joined and return.
+// Submit after Close fails.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true

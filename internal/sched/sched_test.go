@@ -68,6 +68,29 @@ func TestPerCoreQueueNoStealing(t *testing.T) {
 	}
 }
 
+// TestPoolCloseIdempotent: a second Close (the deferred one after an
+// explicit Close) returns at once, leaves the counts alone and keeps
+// rejecting Submit.
+func TestPoolCloseIdempotent(t *testing.T) {
+	p, err := NewPool(PerCoreQueue, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := p.Submit(0, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+	p.Close()
+	if got := p.ExecCounts()[0]; got != 5 {
+		t.Fatalf("group 0 ran %d tasks after Close, want 5", got)
+	}
+	if err := p.Submit(0, func() {}); err == nil {
+		t.Fatal("Submit succeeded after a repeated Close")
+	}
+}
+
 func TestGlobalQueueMigratesWork(t *testing.T) {
 	p, err := NewPool(GlobalQueue, 4)
 	if err != nil {
@@ -190,7 +213,10 @@ func TestServerModelParallelMatchesDirectInference(t *testing.T) {
 			t.Fatalf("sample %d: MP-HT %g != direct %g", i, got[i], want[i])
 		}
 	}
-	// All three tasks ran on group 1.
+	// All three tasks ran on group 1. The last task's completion signal
+	// fires inside the task, before its worker bumps the group's count,
+	// so read the counts only after Close has joined the workers.
+	pool.Close()
 	counts := pool.ExecCounts()
 	if counts[1] != 3 {
 		t.Fatalf("group 1 ran %d tasks, want 3 (emb, bottom, join)", counts[1])

@@ -9,7 +9,8 @@ import (
 // Zipf samples ranks in [0, N) with probability proportional to
 // 1/(rank+1)^s. It uses the rejection-inversion method of Hörmann and
 // Derflinger, which needs O(1) time per sample and no O(N) setup, so it
-// works for table sizes in the millions.
+// works for table sizes in the millions. Shared samplers add a bounded
+// table of the hottest ranks (NewSharedZipf).
 type Zipf struct {
 	rng *RNG
 	n   float64
@@ -20,6 +21,9 @@ type Zipf struct {
 	hx0          float64
 	hImaxPlus1   float64
 	sCut         float64
+	// hot is the exact fast path for the hottest ranks; nil for
+	// per-stream samplers (see NewSharedZipf).
+	hot *hotTable
 }
 
 // NewZipf returns a Zipf sampler over ranks [0, n) with exponent s > 0,
@@ -48,7 +52,17 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 // with SampleWith only. Construction never draws from the generator, so a
 // shared sampler plus per-stream generators yields exactly the streams
 // that per-stream samplers would.
-func NewSharedZipf(n int, s float64) *Zipf { return NewZipf(nil, n, s) }
+//
+// A shared sampler also builds the hot-rank table (zipf_hot.go), an exact
+// fast path that settles most draws of the hottest ranks without hInv's
+// exp/log. It costs about a millisecond to build, so it pays off only for
+// samplers that serve many draws; NewZipf samplers stay table-free. The
+// table is immutable, so concurrent SampleWith calls may share it.
+func NewSharedZipf(n int, s float64) *Zipf {
+	z := NewZipf(nil, n, s)
+	z.hot = newHotTable(z)
+	return z
+}
 
 // h is the antiderivative of x^-s used by rejection-inversion.
 func (z *Zipf) h(x float64) float64 {
@@ -65,20 +79,49 @@ func (z *Zipf) Sample() int { return z.SampleWith(z.rng) }
 // SampleWith draws a rank using r instead of the sampler's own stream.
 // The sampler's constants depend only on (n, s), so one Zipf can serve
 // many independent streams — construction is the expensive part.
+//
+// Each iteration consumes one Float64. A sampler with a hot-rank table
+// first asks the table about u; the table answers only where its answer
+// provably equals exactDecide's, so the ranks drawn and the generator's
+// state afterwards are the same with or without the table.
 func (z *Zipf) SampleWith(r *RNG) int {
 	for {
 		u := z.hImaxPlus1 + r.Float64()*(z.hx0-z.hImaxPlus1)
-		x := z.hInv(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		} else if k > z.n {
-			k = z.n
+		if t := z.hot; t != nil && u < t.end {
+			switch rank, v := t.lookup(u); v {
+			case hotAccept:
+				return rank
+			case hotReject:
+				continue
+			}
 		}
-		if k-x <= z.sCut || u >= z.h(k+0.5)-math.Exp(-z.s*math.Log(k)) {
-			return int(k) - 1
+		if rank, ok := z.exactDecide(u); ok {
+			return rank
 		}
 	}
+}
+
+// exactDecide is one rejection-inversion iteration at u: the rank it
+// lands on and whether the draw is accepted.
+func (z *Zipf) exactDecide(u float64) (rank int, ok bool) {
+	x := z.hInv(u)
+	k := math.Floor(x + 0.5)
+	if k < 1 {
+		k = 1
+	} else if k > z.n {
+		k = z.n
+	}
+	if k-x <= z.sCut || u >= z.threshold(k) {
+		return int(k) - 1, true
+	}
+	return 0, false
+}
+
+// threshold is the acceptance threshold h(k+0.5) - k^-s of rank k's
+// second test. The hot-rank table stores its values, so this is the one
+// place the expression lives.
+func (z *Zipf) threshold(k float64) float64 {
+	return z.h(k+0.5) - math.Exp(-z.s*math.Log(k))
 }
 
 // UniqueFraction estimates, by simulation, the fraction of distinct ranks

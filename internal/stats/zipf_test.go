@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -101,3 +102,25 @@ func BenchmarkZipfSample(b *testing.B) {
 		z.Sample()
 	}
 }
+
+// BenchmarkZipfSampleShared draws from a shared sampler (hot-rank table
+// included) at cluster-day's table size and the three trace hotness
+// exponents.
+func BenchmarkZipfSampleShared(b *testing.B) {
+	for _, s := range []float64{0.40, 0.893, 1.326} {
+		b.Run(fmt.Sprintf("s=%g", s), func(b *testing.B) {
+			z := NewSharedZipf(125_000, s)
+			rng := SeededRNG(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			acc := 0
+			for i := 0; i < b.N; i++ {
+				acc += z.SampleWith(&rng)
+			}
+			zipfSink = acc
+		})
+	}
+}
+
+// zipfSink keeps benchmark draws live.
+var zipfSink int

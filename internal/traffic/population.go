@@ -147,7 +147,25 @@ func (v *Visitors) Affinity() float64 { return v.pop.Affinity }
 // of profile lookups matches fresh lookups while staying a pure function
 // of (Seed, user, table, slot).
 func (p Population) ProfileStream(user uint64, table, slot int) stats.RNG {
+	return p.Profile(user).Stream(table, slot)
+}
+
+// UserProfile is one user's profile key: the population defaults and the
+// per-user seed split of ProfileStream, done once so a caller drawing
+// many slots for the same user pays for them once.
+type UserProfile struct {
+	key  uint64
+	size int
+}
+
+// Profile returns user's profile key.
+func (p Population) Profile(user uint64) UserProfile {
 	p = p.withDefaults()
-	key := stats.SplitSeed(p.Seed^saltProfile, user)
-	return stats.SeededRNG(stats.SplitSeed(key, uint64(table*p.ProfileSize+slot)))
+	return UserProfile{key: stats.SplitSeed(p.Seed^saltProfile, user), size: p.ProfileSize}
+}
+
+// Stream returns the generator of one (table, slot) of the profile; it
+// equals ProfileStream(user, table, slot).
+func (u UserProfile) Stream(table, slot int) stats.RNG {
+	return stats.SeededRNG(stats.SplitSeed(u.key, uint64(table*u.size+slot)))
 }

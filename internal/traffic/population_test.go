@@ -94,6 +94,31 @@ func TestProfileStreamPure(t *testing.T) {
 	}
 }
 
+// TestUserProfileMatchesProfileStream: the hoisted per-user key and
+// ProfileStream both yield the pinned derivation
+// SplitSeed(SplitSeed(Seed^salt, user), table*ProfileSize+slot), with the
+// default and an explicit profile size.
+func TestUserProfileMatchesProfileStream(t *testing.T) {
+	for _, pop := range []Population{{Users: 100, Seed: 5}, {Users: 100, Seed: 9, ProfileSize: 3}} {
+		size := pop.withDefaults().ProfileSize
+		for _, user := range []uint64{0, 42, 1 << 40} {
+			prof := pop.Profile(user)
+			key := stats.SplitSeed(pop.Seed^saltProfile, user)
+			for table := 0; table < 4; table++ {
+				for slot := 0; slot < 5; slot++ {
+					want := stats.SeededRNG(stats.SplitSeed(key, uint64(table*size+slot)))
+					if got := prof.Stream(table, slot); got != want {
+						t.Fatalf("user %d table %d slot %d: Stream %v, want %v", user, table, slot, got, want)
+					}
+					if got := pop.ProfileStream(user, table, slot); got != want {
+						t.Fatalf("user %d table %d slot %d: ProfileStream %v, want %v", user, table, slot, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPopulationValidate: all violations in one report; the zero-means-
 // default fields pass through Validate untouched.
 func TestPopulationValidate(t *testing.T) {
