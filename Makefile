@@ -6,8 +6,9 @@ GO ?= go
 # Headline benchmarks captured in BENCH_<n>.json: the parallel-runner
 # sweep, the engine fan-out, a full end-to-end artifact, plus the
 # per-subsystem micro-benches (memsim access path, cpusim step loop,
-# cluster discrete-event run, event-queue backends, the Zipf sampler with
-# and without the shared hot-rank table). BenchmarkCalibration
+# cluster discrete-event run, the event-queue wheel against the boxed
+# container/heap baseline, the Zipf sampler with and without the shared
+# hot-rank table). BenchmarkCalibration
 # is the host-speed canary bench-gate normalizes by — keep it in every
 # captured point.
 BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessBatch|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfSample|BenchmarkZipfSampleShared|BenchmarkCalibration

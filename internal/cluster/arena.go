@@ -1,8 +1,8 @@
 package cluster
 
 // Per-run arena reuse (DESIGN.md §14). One Simulate call allocates a
-// few dozen slices — the per-node queue set, the sub and query records,
-// the pre-draw ring, the copy wheel's buckets, and the join scratch —
+// few dozen slices — the per-node queue set, the sub and join records,
+// the pre-draw ring, the copy wheel's buckets, and the latency sink —
 // and the callers that matter (SweepReplication, the experiment
 // registry, parameter sweeps in the CLIs) run thousands of simulations
 // per process, so the steady-state allocation rate is pure churn. The
@@ -11,15 +11,17 @@ package cluster
 // at exit.
 //
 // Correctness is the same argument everywhere: a reused buffer is
-// either fully overwritten before it is read (firstSub, the pre-draw
-// ring — drawArrival zeroes its own cold slice), explicitly re-zeroed
-// here (the active set, minute buckets), or re-sliced to length zero
-// and only appended to (subs, queries, latencies). Queue and wheel
-// objects reset through their Reset hooks (serve.Queue.Reset,
-// eventq.Wheel.Reset). Nothing observable escapes: the free list is
-// guarded by a mutex, each concurrent run owns its arena exclusively
-// between acquire and release, and a run that errors out simply never
-// releases (the arena is garbage-collected).
+// either fully overwritten before it is read (the pre-draw ring —
+// drawArrival zeroes its own cold slice — and the join's latency
+// scratch),
+// explicitly re-zeroed here (the active set, minute buckets, the join's
+// counters, sketch and violation map), or re-sliced to length zero and only appended
+// to (subs and their free list, join records and theirs, sample slots).
+// Queue and wheel objects reset through their Reset hooks
+// (serve.Queue.Reset, eventq.Wheel.Reset). Nothing observable escapes:
+// the free list is guarded by a mutex, each concurrent run owns its
+// arena exclusively between acquire and release, and a run that errors
+// out simply never releases (the arena is garbage-collected).
 //
 // The AllocsPerRun guards in arena_test.go pin the steady state.
 
@@ -34,16 +36,13 @@ import (
 // capacity carriers only — every run re-establishes length and
 // contents before reading.
 type runArena struct {
-	queues    []*serve.Queue
-	subs      []subState
-	queries   []openQuery
-	firstSub  []int
-	latencies []float64
-	eff       []int
-	active    []bool
-	violated  map[int]bool
-	ring      []ringArrival
-	ringCold  []int
+	queues   []*serve.Queue
+	subs     []subState
+	freeSubs []int
+	eff      []int
+	active   []bool
+	ring     []ringArrival
+	ringCold []int
 
 	// Robustness-tier state (chaos.go, adapt.go): held by value so the
 	// per-node and per-window slices inside recycle with the arena, and
@@ -52,6 +51,10 @@ type runArena struct {
 	adaptSt adaptState
 	ttrArr  []int
 	ttrGood []int
+
+	// The query join (streamstats.go): records, free lists, sample
+	// slots, and the latency sketch.
+	join queryJoin
 
 	// The recycled copy wheel: its 4096 buckets dominate the loop's
 	// fixed cost.
@@ -120,6 +123,31 @@ func (a *runArena) ttrBuckets(n int) (arr, good []int) {
 	return arr, good
 }
 
+// joinFor resets the arena's recycled join for a run, keeping its
+// slices' capacity. stream selects the sketch sink over sample slots.
+func (a *runArena) joinFor(stream bool, denseMs, slaMs, minuteMs float64) *queryJoin {
+	j := &a.join
+	samples, joins, freeJoins := j.samples[:0], j.joins[:0], j.freeJoins[:0]
+	latencies, violated := j.latencies, j.violated
+	if violated == nil {
+		violated = make(map[int]bool)
+	} else {
+		clear(violated)
+	}
+	*j = queryJoin{
+		stream:    stream,
+		samples:   samples,
+		latencies: latencies,
+		joins:     joins,
+		freeJoins: freeJoins,
+		denseMs:   denseMs,
+		slaMs:     slaMs,
+		minuteMs:  minuteMs,
+		violated:  violated,
+	}
+	return j
+}
+
 // queueSet returns plan-sized per-node FCFS queues, recycling queue
 // objects through serve.Queue.Reset and building only the missing ones.
 func (a *runArena) queueSet(nodes, servers int) []*serve.Queue {
@@ -149,17 +177,6 @@ func (a *runArena) boolSet(n int) []bool {
 		a.active[i] = false
 	}
 	return a.active
-}
-
-// violatedMap returns an empty minute→violated map, reusing the
-// previous run's buckets.
-func (a *runArena) violatedMap() map[int]bool {
-	if a.violated == nil {
-		a.violated = make(map[int]bool)
-	} else {
-		clear(a.violated)
-	}
-	return a.violated
 }
 
 // copyWheel returns the run's copy wheel with buckets width ms wide,

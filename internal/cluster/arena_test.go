@@ -97,4 +97,16 @@ func TestSimulateAllocsSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { Simulate(ocfg) }); allocs > 16 {
 		t.Errorf("open-loop Simulate allocates %.0f objects/run in steady state, want <= 16", allocs)
 	}
+
+	// Stream-stats recycles the same join state, sketch included.
+	scfg := ocfg
+	so := *ocfg.Open
+	so.StreamStats = true
+	scfg.Open = &so
+	if _, err := Simulate(scfg); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { Simulate(scfg) }); allocs > 16 {
+		t.Errorf("stream-stats Simulate allocates %.0f objects/run in steady state, want <= 16", allocs)
+	}
 }

@@ -323,7 +323,7 @@ func TestChaosAdaptiveByteIdentical(t *testing.T) {
 // TestChaosNeverFiresMatchesNoSchedule is a metamorphic oracle: a chaos
 // schedule whose every event starts past the run's horizon never fires,
 // so the Result must equal the no-schedule run's field for field — in
-// the open loop (batch and stream-stats joins) and the closed loop.
+// the open loop (exact and stream-stats summaries) and the closed loop.
 // Such a schedule once read as a fleet that never recovered
 // (TimeToRecoverMs −1).
 func TestChaosNeverFiresMatchesNoSchedule(t *testing.T) {

@@ -160,7 +160,7 @@ func openExecConfigs(t *testing.T) map[string]Config {
 
 // TestParallelBackendByteIdenticalOpenLoop: the parallel pre-draw is
 // bit-for-bit the sequential event loop at every worker count, in both
-// the batch-join and stream-stats summaries. The tiny pre-draw block
+// the exact and stream-stats summaries. The tiny pre-draw block
 // forces many ring refills mid-run, exercising the refill path's
 // sequential/concurrent split.
 func TestParallelBackendByteIdenticalOpenLoop(t *testing.T) {

@@ -206,12 +206,12 @@ type OpenLoop struct {
 	// the autoscaler brings them in; their work routes down the standby
 	// chain, so a deliberately zero-capacity owner is expressible.
 	StartNodes int
-	// StreamStats switches the summary to the incremental flat-memory
-	// join (streamstats.go): live state bounded by the in-flight
-	// high-water mark instead of O(queries), counters exact,
-	// percentiles within the stats.QuantileSketch error bound (~0.8%).
-	// Off by default — the batch join's exact nearest-rank percentiles
-	// are the golden baseline.
+	// StreamStats sends each scored latency to a fixed-memory
+	// stats.QuantileSketch instead of a per-query sample slot
+	// (streamstats.go): O(1) memory per query, counters exact,
+	// percentiles within the sketch's error bound (~0.8%). Off by
+	// default — the exact nearest-rank percentiles are the golden
+	// baseline.
 	StreamStats bool
 }
 
@@ -323,13 +323,6 @@ func wheelWidthMs(cfg *Config) float64 {
 	return cfg.MeanArrivalMs
 }
 
-// openQuery is one arrival's router-side record.
-type openQuery struct {
-	arrive   float64
-	admitted bool
-	revisit  bool
-}
-
 // arrivalSource yields a run's arrival instants in order: a
 // *traffic.Stream for the open loop, poissonArrivals for the closed loop.
 type arrivalSource interface{ Next() float64 }
@@ -383,14 +376,10 @@ type loopRun struct {
 	scaleUps     int
 	scaleDowns   int
 
-	minuteMs float64
-	violated map[int]bool
-	sj       *streamJoin
+	j *queryJoin // the incremental query join (streamstats.go)
 
-	queries  []openQuery
-	firstSub []int
-	eff      []int // arrival-scratch: cold work per effective node
-	draws    int
+	eff   []int // arrival-scratch: cold work per effective node
+	draws int
 
 	hotLookups, totalLookups int
 
@@ -403,18 +392,6 @@ type loopRun struct {
 	ring     []ringArrival
 	ringCold []int
 	ringHead int
-
-	// Recovery observability (chaos.go): minute buckets of post-warmup
-	// arrivals and in-SLA completions, and the post-fault (arrive >=
-	// pfThresh) offered/good counters, measured from clearMs, the
-	// fault-clear instant clipped to the horizon. Nil/zero unless an
-	// open-loop chaos schedule fires before the horizon; the batch join
-	// fills them in the summary loop, stream-stats runs fill them through
-	// the streamJoin aliases.
-	ttrArr, ttrGood []int
-	clearMs         float64
-	pfThresh        float64
-	pfArr, pfGood   int
 
 	// The run's recycled working set (arena.go); release returns it.
 	arena *runArena
@@ -437,7 +414,7 @@ func newLoopRun(cfg Config) (*loopRun, error) {
 		pendingNode: -1,
 		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
 	}
-	var warmupMs float64
+	var warmupMs, minuteMs float64
 	if o == nil {
 		r.src = &poissonArrivals{
 			rng:    stats.SeededRNG(stats.SplitSeed(cfg.Seed^0xA221, 0)),
@@ -466,9 +443,9 @@ func newLoopRun(cfg Config) (*loopRun, error) {
 		}
 		// SLA-violation minutes bucketize on the configured day when the
 		// stream defines one, else on the run horizon.
-		r.minuteMs = o.DurationMs / 1440
+		minuteMs = o.DurationMs / 1440
 		if ar.DayMs > 0 {
-			r.minuteMs = ar.DayMs / 1440
+			minuteMs = ar.DayMs / 1440
 		}
 	}
 
@@ -496,9 +473,8 @@ func newLoopRun(cfg Config) (*loopRun, error) {
 	for n := 0; n < r.activeCount; n++ {
 		r.active[n] = true
 	}
-	r.violated = a.violatedMap()
-	r.queries = a.queries[:0]
-	r.firstSub = append(a.firstSub[:0], 0)
+	st.freeSubs = a.freeSubs[:0]
+	r.j = a.joinFor(o != nil && o.StreamStats, cfg.Timing.DenseMs, r.slaMs, minuteMs)
 	r.eff = arenaSlice(&a.eff, plan.Nodes)
 	r.ring, r.ringCold = a.ring, a.ringCold
 
@@ -518,17 +494,10 @@ func newLoopRun(cfg Config) (*loopRun, error) {
 		// A schedule none of whose windows opens before the horizon never
 		// fires: no recovery to measure, as without a schedule.
 		if clearMs, fired := st.chaos.clearBy(o.DurationMs); fired {
-			r.ttrArr, r.ttrGood = a.ttrBuckets(int(o.DurationMs/r.minuteMs) + 1)
-			r.clearMs = math.Min(clearMs, o.DurationMs)
-			r.pfThresh = math.Max(r.clearMs, o.WarmupMs)
+			r.j.ttrArr, r.j.ttrGood = a.ttrBuckets(int(o.DurationMs/minuteMs) + 1)
+			r.j.clearMs = math.Min(clearMs, o.DurationMs)
+			r.j.pfThreshMs = math.Max(r.j.clearMs, o.WarmupMs)
 		}
-	}
-	if o.StreamStats {
-		r.sj = newStreamJoin(o, r.minuteMs, r.violated)
-		r.sj.denseMs = cfg.Timing.DenseMs
-		r.sj.ttrArr, r.sj.ttrGood = r.ttrArr, r.ttrGood
-		r.sj.pfThreshMs = r.pfThresh
-		st.recycle = true
 	}
 	return r, nil
 }
@@ -537,8 +506,7 @@ func newLoopRun(cfg Config) (*loopRun, error) {
 // returns it to the free list.
 func (r *loopRun) release() {
 	a := r.arena
-	a.subs = r.st.subs
-	a.queries, a.firstSub = r.queries, r.firstSub
+	a.subs, a.freeSubs = r.st.subs, r.st.freeSubs
 	a.ring, a.ringCold = r.ring, r.ringCold
 	a.release()
 }
@@ -691,7 +659,6 @@ func (r *loopRun) processArrival(now float64, user uint64, visit int, hot, warm 
 			r.eff[r.route(n)] += c
 		}
 	}
-	joinSlot := -1
 	admitted := true
 	if o != nil && o.Admission.Policy == ShedOverBudget {
 		worst := 0.0
@@ -705,9 +672,8 @@ func (r *loopRun) processArrival(now float64, user uint64, visit int, hot, warm 
 		}
 		admitted = !o.Admission.shed(worst)
 	}
-	if r.sj != nil {
-		joinSlot = r.sj.arrival(now, admitted, visit > 1)
-	}
+	scored := st.scored(r.q, now)
+	joinSlot := r.j.arrival(now, scored, admitted, visit > 1)
 	if admitted {
 		for n, c := range r.eff {
 			served := c
@@ -725,12 +691,10 @@ func (r *loopRun) processArrival(now float64, user uint64, visit int, hot, warm 
 			pooled := (served + model.LookupsPerSample - 1) / model.LookupsPerSample
 			respBytes := int64(pooled)*int64(model.EmbDim)*4 + wireHeaderBytes
 			idx := st.schedule(r.q, home, n, served, svcUs/1e3, reqBytes, respBytes, now)
-			if r.sj != nil {
-				st.subs[idx].join = joinSlot
-				r.sj.subAttached(joinSlot)
-			}
+			st.subs[idx].join = joinSlot
+			r.j.subAttached(joinSlot)
 		}
-		if st.scored(r.q, now) {
+		if scored {
 			r.hotLookups += hot + warm
 			r.totalLookups += hot + warm
 			for _, c := range cold {
@@ -738,12 +702,7 @@ func (r *loopRun) processArrival(now float64, user uint64, visit int, hot, warm 
 			}
 		}
 	}
-	if r.sj != nil {
-		r.sj.finalizeIfEmpty(joinSlot)
-	} else {
-		r.queries = append(r.queries, openQuery{arrive: now, admitted: admitted, revisit: visit > 1})
-		r.firstSub = append(r.firstSub, len(st.subs))
-	}
+	r.j.finalizeIfEmpty(joinSlot)
 	r.q++
 }
 
@@ -795,148 +754,27 @@ func (r *loopRun) loop(parts int) {
 		case 3:
 			cp := w.Pop()
 			r.st.serveCopy(&cp, r.route(cp.node))
-			if r.sj != nil {
-				r.sj.copyDone(r.st, cp.sub)
-			}
+			r.j.copyDone(r.st, cp.sub)
 		}
 	}
 }
 
-// summary folds the run into a Result — the batch join over retained
-// queries, or the stream join's accumulators — plus the fleet-level
-// accounting shared by both modes. A closed-loop run measures its
-// horizon up to the last finish and leaves the open-only fields zero.
+// summary folds the run into a Result: the join's accumulators plus
+// the fleet-level accounting. A closed-loop run measures its horizon up
+// to the last finish and leaves the open-only fields zero.
 func (r *loopRun) summary() Result {
 	o := r.o
 	plan := r.plan
 	st := r.st
 	cfg := &st.cfg
-	sj := r.sj
-	queries, firstSub := r.queries, r.firstSub
-	violated, minuteMs := r.violated, r.minuteMs
-	hotLookups, totalLookups := r.hotLookups, r.totalLookups
-
-	var pct []float64
-	var mean, simEnd float64
-	var nLat int
-	var fanoutSum, subCount, hedgeCount, retryCount, fullJoins int
-	var postArr, postShed, postRevisit, goodCount int
-	var completenessSum float64
-	if sj != nil {
-		// Stream-stats: every query already folded at its last copy; the
-		// summary reads the accumulators and the sketch.
-		if check.Enabled {
-			check.Assert(len(sj.freeJoins) == len(sj.joins),
-				"cluster: %d stream joins still open after drain", len(sj.joins)-len(sj.freeJoins))
-		}
-		sk := &sj.sketch
-		pct = []float64{sk.Quantile(0.50), sk.Quantile(0.95), sk.Quantile(0.99)}
-		nLat = int(sk.Count())
-		if nLat > 0 {
-			mean = sj.latSum / float64(nLat)
-		}
-		fanoutSum, subCount = sj.fanoutSum, sj.subCount
-		hedgeCount, retryCount, fullJoins = sj.hedgeCount, sj.retryCount, sj.fullJoins
-		postArr, postShed, postRevisit, goodCount = sj.postArr, sj.postShed, sj.postRevisit, sj.goodCount
-		completenessSum = sj.completenessSum
-		r.pfArr, r.pfGood = sj.pfArr, sj.pfGood
-		if streamHighWater != nil {
-			streamHighWater(sj.maxLiveSubs, sj.maxLiveJoins)
-		}
-	} else {
-		// Batch join: each admitted query joins on its slowest surviving
-		// sub-request (or, degraded, on the deadline the router abandons
-		// the slowest shard at), then the dense stages are charged at the
-		// router. The sample slice is sized from the admitted post-warmup
-		// count, so the append loop never reallocates.
-		nSamples := 0
-		for i, oq := range queries {
-			if oq.admitted && st.scored(i, oq.arrive) {
-				nSamples++
-			}
-		}
-		if cap(r.arena.latencies) < nSamples {
-			r.arena.latencies = make([]float64, 0, nSamples)
-		}
-		latencies := r.arena.latencies[:0]
-		for i, oq := range queries {
-			post := st.scored(i, oq.arrive)
-			if post {
-				postArr++
-				if oq.revisit {
-					postRevisit++
-				}
-				if r.ttrArr != nil {
-					r.ttrArr[int(oq.arrive/minuteMs)]++
-					if oq.arrive >= r.pfThresh {
-						r.pfArr++
-					}
-				}
-			}
-			if !oq.admitted {
-				if post {
-					postShed++
-				}
-				continue
-			}
-			joined := oq.arrive
-			queryLookups, servedLookups := 0, 0
-			hedges, retries := 0, 0
-			complete := true
-			for s := firstSub[i]; s < firstSub[i+1]; s++ {
-				sub := &st.subs[s]
-				doneAt, ok := st.resolve(sub)
-				if doneAt > joined {
-					joined = doneAt
-				}
-				queryLookups += sub.served
-				retries += sub.retries
-				if sub.hedged {
-					hedges++
-				}
-				if ok {
-					servedLookups += sub.served
-				} else {
-					complete = false
-				}
-			}
-			finish := joined + cfg.Timing.DenseMs
-			if finish > simEnd {
-				simEnd = finish
-			}
-			if !post {
-				continue
-			}
-			lat := finish - oq.arrive
-			latencies = append(latencies, lat)
-			if lat <= r.slaMs {
-				goodCount++
-				if r.ttrArr != nil {
-					r.ttrGood[int(oq.arrive/minuteMs)]++
-					if oq.arrive >= r.pfThresh {
-						r.pfGood++
-					}
-				}
-			} else {
-				violated[int(oq.arrive/minuteMs)] = true
-			}
-			fanoutSum += firstSub[i+1] - firstSub[i]
-			subCount += firstSub[i+1] - firstSub[i]
-			hedgeCount += hedges
-			retryCount += retries
-			if complete {
-				fullJoins++
-			}
-			if queryLookups > 0 {
-				completenessSum += float64(servedLookups) / float64(queryLookups)
-			} else {
-				completenessSum++
-			}
-		}
-		pct = stats.Percentiles(latencies, 0.50, 0.95, 0.99)
-		mean = stats.Mean(latencies)
-		nLat = len(latencies)
+	j := r.j
+	if check.Enabled {
+		j.checkDrained(st)
 	}
+	if joinHighWater != nil {
+		joinHighWater(j.maxLiveSubs, j.maxLiveJoins)
+	}
+	pct, mean, nLat, completenessSum := j.latencySummary()
 
 	res := Result{
 		P50:                 pct[0],
@@ -953,18 +791,18 @@ func (r *loopRun) summary() Result {
 	// left zero instead of dividing by zero (Percentile/Mean already
 	// return 0 on empty slices).
 	if n := nLat; n > 0 {
-		res.MeanFanout = float64(fanoutSum) / float64(n)
-		res.Availability = float64(fullJoins) / float64(n)
+		res.MeanFanout = float64(j.fanoutSum) / float64(n)
+		res.Availability = float64(j.fullJoins) / float64(n)
 		res.Completeness = completenessSum / float64(n)
-		res.RetriesPerQuery = float64(retryCount) / float64(n)
-		res.RetryAmplification = float64(subCount+hedgeCount+retryCount) / float64(n)
+		res.RetriesPerQuery = float64(j.retryCount) / float64(n)
+		res.RetryAmplification = float64(j.fanoutSum+j.hedgeCount+j.retryCount) / float64(n)
 	}
 	if st.adapt != nil {
 		res.BreakerOpenMinutes = st.adapt.finalize() / 60000
 	}
 	// The run's horizon: the open loop's configured duration, the closed
 	// loop's last finish.
-	horizon := simEnd
+	horizon := j.simEnd
 	if o != nil {
 		horizon = o.DurationMs
 	}
@@ -972,11 +810,11 @@ func (r *loopRun) summary() Result {
 	if st.chaos != nil && horizon > 0 {
 		res.DomainAvailability = 1 - st.chaos.outageMs(horizon)/(float64(st.chaos.domains)*horizon)
 	}
-	if subCount > 0 {
-		res.HedgeRate = float64(hedgeCount) / float64(subCount)
+	if j.fanoutSum > 0 {
+		res.HedgeRate = float64(j.hedgeCount) / float64(j.fanoutSum)
 	}
-	if totalLookups > 0 {
-		res.LocalFraction = float64(hotLookups) / float64(totalLookups)
+	if r.totalLookups > 0 {
+		res.LocalFraction = float64(r.hotLookups) / float64(r.totalLookups)
 	}
 	var busySum, busyMax float64
 	for _, qu := range st.queues {
@@ -990,11 +828,11 @@ func (r *loopRun) summary() Result {
 		res.Imbalance = busyMax / (busySum / float64(plan.Nodes))
 	}
 	if o == nil {
-		if simEnd > 0 {
-			res.Utilization = busySum / (simEnd * float64(plan.Nodes*cfg.ServersPerNode))
+		if j.simEnd > 0 {
+			res.Utilization = busySum / (j.simEnd * float64(plan.Nodes*cfg.ServersPerNode))
 		}
 	} else {
-		r.openSummary(&res, busySum, postArr, postShed, postRevisit, goodCount)
+		r.openSummary(&res, busySum)
 	}
 	if check.Enabled {
 		finite := check.Finite
@@ -1012,33 +850,33 @@ func (r *loopRun) summary() Result {
 // shedding, SLA violation minutes, the active set, and recovery from the
 // chaos schedule. Capacity for Utilization is the time-integrated active
 // set (node·ms), not nodes×horizon — a drained node contributes none.
-func (r *loopRun) openSummary(res *Result, busySum float64, postArr, postShed, postRevisit, goodCount int) {
-	o := r.o
+func (r *loopRun) openSummary(res *Result, busySum float64) {
+	o, j := r.o, r.j
 	r.noteActive(o.DurationMs)
 	window := o.DurationMs - o.WarmupMs
-	res.OfferedQPS = float64(postArr) / (window / 1e3)
-	res.Goodput = float64(goodCount) / (window / 1e3)
-	res.SLAViolationMinutes = float64(len(r.violated))
+	res.OfferedQPS = float64(j.postArr) / (window / 1e3)
+	res.Goodput = float64(j.goodCount) / (window / 1e3)
+	res.SLAViolationMinutes = float64(len(j.violated))
 	res.MeanActiveNodes = r.nodeMsSum / o.DurationMs
-	if postArr > 0 {
-		res.ShedRate = float64(postShed) / float64(postArr)
-		res.RevisitRate = float64(postRevisit) / float64(postArr)
+	if j.postArr > 0 {
+		res.ShedRate = float64(j.postShed) / float64(j.postArr)
+		res.RevisitRate = float64(j.postRevisit) / float64(j.postArr)
 	}
 	if r.nodeMsSum > 0 {
 		res.Utilization = busySum / (r.nodeMsSum * float64(r.st.cfg.ServersPerNode))
 	}
-	if r.ttrArr != nil {
+	if j.ttrArr != nil {
 		// Time to recover: the earliest minute bucket past the clear
 		// instant from which every later non-empty bucket keeps an in-SLA
 		// fraction of at least 1-recoverEps. Empty buckets are neutral; -1
 		// means the fleet never re-entered a sustained good regime before
 		// the horizon (the metastable signature).
 		recB := -1
-		for b := len(r.ttrArr) - 1; b >= int(r.clearMs/r.minuteMs)+1; b-- {
-			if r.ttrArr[b] == 0 {
+		for b := len(j.ttrArr) - 1; b >= int(j.clearMs/j.minuteMs)+1; b-- {
+			if j.ttrArr[b] == 0 {
 				continue
 			}
-			if float64(r.ttrGood[b]) >= (1-recoverEps)*float64(r.ttrArr[b]) {
+			if float64(j.ttrGood[b]) >= (1-recoverEps)*float64(j.ttrArr[b]) {
 				recB = b
 			} else {
 				break
@@ -1046,11 +884,11 @@ func (r *loopRun) openSummary(res *Result, busySum float64, postArr, postShed, p
 		}
 		res.TimeToRecoverMs = -1
 		if recB >= 0 {
-			res.TimeToRecoverMs = math.Max(0, float64(recB)*r.minuteMs-r.clearMs)
+			res.TimeToRecoverMs = math.Max(0, float64(recB)*j.minuteMs-j.clearMs)
 		}
-		if pfWindow := o.DurationMs - r.pfThresh; pfWindow > 0 {
-			res.PostFaultOfferedQPS = float64(r.pfArr) / (pfWindow / 1e3)
-			res.PostFaultGoodput = float64(r.pfGood) / (pfWindow / 1e3)
+		if pfWindow := o.DurationMs - j.pfThreshMs; pfWindow > 0 {
+			res.PostFaultOfferedQPS = float64(j.pfArr) / (pfWindow / 1e3)
+			res.PostFaultGoodput = float64(j.pfGood) / (pfWindow / 1e3)
 		}
 	}
 	if check.Enabled {

@@ -244,9 +244,8 @@ type subState struct {
 	best      float64 // earliest response at the router so far
 	retries   int     // timeout retries plus transport re-sends
 	hedged    bool
-	// Stream-stats bookkeeping (openloop.go): the owning join record's
-	// slot and the count of scheduled copies not yet processed. Unused
-	// (zero) in the default batch-join modes.
+	// Join bookkeeping (streamstats.go): the owning join record's slot
+	// and the count of scheduled copies not yet processed.
 	join       int
 	copiesLeft int32
 }
@@ -293,12 +292,10 @@ type simState struct {
 	maxWait  float64                // worst post-warmup queueing delay (satellite fix:
 	// warmup queries' waits are excluded, matching serve.Simulate)
 
-	// Stream-stats recycling (openloop.go). subSeq is the monotone
-	// creation counter copies carry as their tie key; with recycle set,
-	// finalized sub slots return to freeSubs and the live set stays at
-	// the in-flight high-water mark instead of growing with the run.
-	// Without recycling seq always equals the slot index.
-	recycle  bool
+	// Sub slot recycling (streamstats.go). subSeq is the monotone
+	// creation counter copies carry as their tie key; resolved sub slots
+	// return to freeSubs, so the live set stays at the in-flight
+	// high-water mark instead of growing with the run.
 	subSeq   int
 	freeSubs []int
 }
@@ -317,11 +314,11 @@ func (s *simState) scored(q int, t float64) bool {
 // timeout retries down the standby chain at dispatch+k·TimeoutMs.
 // Conditional copies are skipped at processing time when a response
 // beat their launch deadline.
-// schedule returns the sub's slot in s.subs so the open-loop
-// stream-stats joiner can attach it to a join record. home is the
-// query's home node — the router's location for chaos partition
-// severance (copies crossing a severed domain pair in transit are lost
-// and re-sent at heal, composed after the transport's drop re-sends).
+// schedule returns the sub's slot in s.subs so the caller can attach it
+// to its query's join record. home is the query's home node — the
+// router's location for chaos partition severance (copies crossing a
+// severed domain pair in transit are lost and re-sent at heal, composed
+// after the transport's drop re-sends).
 func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBytes, respBytes int64, dispatch float64) int {
 	sub := subState{
 		q: q, owner: owner, dispatch: dispatch,
@@ -331,7 +328,7 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 	seq := s.subSeq
 	s.subSeq++
 	var idx int
-	if n := len(s.freeSubs); s.recycle && n > 0 {
+	if n := len(s.freeSubs); n > 0 {
 		idx = s.freeSubs[n-1]
 		s.freeSubs = s.freeSubs[:n-1]
 		s.subs[idx] = sub
@@ -375,8 +372,7 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 // copyLess is the canonical (arrive, seq, attempt) total order the
 // event loop serves copies in, through the copy wheel. No two copies
 // share a (seq, attempt) pair, so the order is total. The tie key is the
-// sub's monotone creation seq, which equals the slot index except under
-// stream-stats slot recycling.
+// sub's monotone creation seq, not its recycled slot index.
 func copyLess(a, b subCopy) bool {
 	if a.arrive != b.arrive {
 		return a.arrive < b.arrive

@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"dlrmsim/internal/check"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
 
-// streamTestOpen is the shared open-loop spec for stream-vs-batch
+// streamTestOpen is the shared open-loop spec for stream-vs-exact
 // comparisons: shedding, a population, faults-free but hedged, at
 // moderate overload so violations and sheds actually occur.
 func streamTestOpen(t *testing.T, stream bool) Config {
@@ -31,7 +32,7 @@ func streamTestOpen(t *testing.T, stream bool) Config {
 }
 
 // TestStreamStatsMatchesBatch pins the stream-stats accuracy contract:
-// every counter metric is EXACTLY the batch join's value; the
+// every counter metric is EXACTLY the exact mode's value; the
 // percentiles sit within the sketch's error bound; Mean differs only
 // by float summation order.
 func TestStreamStatsMatchesBatch(t *testing.T) {
@@ -89,42 +90,92 @@ func TestStreamStatsMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamStatsFlatMemory pins the O(1)-sample guarantee: quadrupling
-// the run length must not grow the live-record high-water mark, which
-// tracks in-flight work, not run length.
+// TestStreamStatsFlatMemory pins the flat-memory guarantee of the
+// incremental join in every mode — open loop exact and stream-stats,
+// and the closed loop: quadrupling the run length must not grow the
+// live sub and join high-water marks, which track in-flight work, not
+// run length.
 func TestStreamStatsFlatMemory(t *testing.T) {
-	run := func(durationMs float64) (liveSubs, liveJoins, arrivals int) {
-		defer func() { streamHighWater = nil }()
-		streamHighWater = func(s, j int) { liveSubs, liveJoins = s, j }
-		cfg := openTestConfig(t, 4, &OpenLoop{
-			Arrivals:    traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.6)},
-			DurationMs:  durationMs,
-			SLAMs:       5,
-			StreamStats: true,
-		})
+	type highWater struct{ subs, joins, arrivals int }
+	run := func(cfg Config, arrivals func(Result) int) highWater {
+		var hw highWater
+		defer func() { joinHighWater = nil }()
+		joinHighWater = func(s, j int) { hw.subs, hw.joins = s, j }
 		res, err := Simulate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arrivals = int(res.OfferedQPS * (durationMs - durationMs/20) / 1e3)
-		return
+		hw.arrivals = arrivals(res)
+		return hw
 	}
-	s1, j1, n1 := run(500)
-	s4, j4, n4 := run(2000)
-	if n4 < 3*n1 {
-		t.Fatalf("fixture broken: 4x duration saw %d vs %d arrivals", n4, n1)
+	open := func(stream bool) func(scale int) highWater {
+		return func(scale int) highWater {
+			durationMs := 500 * float64(scale)
+			cfg := openTestConfig(t, 4, &OpenLoop{
+				Arrivals:    traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.6)},
+				DurationMs:  durationMs,
+				SLAMs:       5,
+				StreamStats: stream,
+			})
+			return run(cfg, func(res Result) int {
+				return int(res.OfferedQPS * (durationMs - durationMs/20) / 1e3)
+			})
+		}
 	}
-	if s1 == 0 || j1 == 0 {
-		t.Fatal("high-water hook never fired")
+	closed := func(scale int) highWater {
+		cfg := testConfig(t, 4, RowRange, 0.01, trace.HighHot)
+		cfg.Queries *= scale
+		return run(cfg, func(Result) int { return cfg.Queries })
 	}
-	// The in-flight population is set by load, not horizon: allow noise
-	// but reject anything resembling linear growth.
-	if float64(s4) > 2*float64(s1) || float64(j4) > 2*float64(j1) {
-		t.Fatalf("live records grew with run length: subs %d -> %d, joins %d -> %d (arrivals %d -> %d)",
-			s1, s4, j1, j4, n1, n4)
+	for _, mode := range []struct {
+		name string
+		run  func(scale int) highWater
+	}{{"open-exact", open(false)}, {"open-stream", open(true)}, {"closed", closed}} {
+		h1, h4 := mode.run(1), mode.run(4)
+		if h4.arrivals < 3*h1.arrivals {
+			t.Fatalf("%s: fixture broken: 4x run saw %d vs %d arrivals", mode.name, h4.arrivals, h1.arrivals)
+		}
+		if h1.subs == 0 || h1.joins == 0 {
+			t.Fatalf("%s: high-water hook never fired", mode.name)
+		}
+		// The in-flight population is set by load, not horizon: allow
+		// noise but reject anything resembling linear growth.
+		if float64(h4.subs) > 2*float64(h1.subs) || float64(h4.joins) > 2*float64(h1.joins) {
+			t.Fatalf("%s: live records grew with run length: subs %d -> %d, joins %d -> %d (arrivals %d -> %d)",
+				mode.name, h1.subs, h4.subs, h1.joins, h4.joins, h1.arrivals, h4.arrivals)
+		}
+		if h4.subs > h4.arrivals/4 || h4.joins > h4.arrivals/4 {
+			t.Fatalf("%s: high-water %d subs / %d joins not small against %d arrivals",
+				mode.name, h4.subs, h4.joins, h4.arrivals)
+		}
 	}
-	if s4 > n4/4 || j4 > n4/4 {
-		t.Fatalf("high-water %d subs / %d joins not small against %d arrivals", s4, j4, n4)
+}
+
+// TestJoinConservationChecked runs the join's conservation invariants
+// (queryJoin.checkDrained) with runtime checks on, in both latency
+// sinks and both loops: after the drain no join record or sub slot is
+// live, scored arrivals = scored admitted + scored shed, and scored
+// admitted = latencies recorded. The open fixture sheds under hedges
+// and retries; the closed one injects faults under tight deadlines
+// with degraded joins, so subs resolve both by response and by
+// deadline.
+func TestJoinConservationChecked(t *testing.T) {
+	defer func(old bool) { check.Enabled = old }(check.Enabled)
+	check.Enabled = true
+	closed := faultConfig(t, trace.MediumHot)
+	closed.Mitigation = Mitigation{TimeoutMs: 0.4, MaxRetries: 1, HedgeDelayMs: 0.3, DegradedJoin: true}
+	for name, cfg := range map[string]Config{
+		"open-exact":    streamTestOpen(t, false),
+		"open-stream":   streamTestOpen(t, true),
+		"closed-faulty": closed,
+	} {
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.HedgeRate == 0 || res.ShedRate == 0 && res.Availability == 1 {
+			t.Fatalf("%s: fixture too tame to exercise the join: %+v", name, res)
+		}
 	}
 }
 

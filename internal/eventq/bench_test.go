@@ -21,9 +21,9 @@ func benchLess(a, b benchEvent) bool {
 
 func benchTime(e benchEvent) float64 { return e.t }
 
-// boxedEventHeap is the container/heap baseline the generic backends
-// replace: every Push and Pop moves the element through an `any`
-// interface, allocating per scheduled event.
+// boxedEventHeap is the container/heap baseline the wheel replaces:
+// every Push and Pop moves the element through an `any` interface,
+// allocating per scheduled event.
 type boxedEventHeap []benchEvent
 
 func (h boxedEventHeap) Len() int           { return len(h) }
@@ -38,8 +38,8 @@ func (h *boxedEventHeap) Pop() (popped any) {
 	return
 }
 
-// benchQueue is the push/pop surface the churn driver needs; all three
-// backends satisfy it (the boxed baseline via a tiny adapter).
+// benchQueue is the push/pop surface the churn driver needs; the wheel
+// satisfies it directly, the boxed baseline via a tiny adapter.
 type benchQueue interface {
 	Len() int
 	Push(benchEvent)
@@ -92,16 +92,13 @@ func churn(b *testing.B, mk func() benchQueue, events int) {
 	b.SetBytes(int64(events))
 }
 
-// BenchmarkEventQueue compares the event-core backends on the same
-// churn: the boxed container/heap baseline the simulators started with,
-// the generic non-boxing heap, and the calendar-queue timing wheel.
+// BenchmarkEventQueue compares the event core on the same churn: the
+// boxed container/heap baseline the simulators started with and the
+// calendar-queue timing wheel that replaced it.
 func BenchmarkEventQueue(b *testing.B) {
 	const events = 1 << 16
 	b.Run("boxed", func(b *testing.B) {
 		churn(b, func() benchQueue { return &boxedAdapter{} }, events)
-	})
-	b.Run("heap", func(b *testing.B) {
-		churn(b, func() benchQueue { return NewHeap(benchLess) }, events)
 	})
 	b.Run("wheel", func(b *testing.B) {
 		churn(b, func() benchQueue {

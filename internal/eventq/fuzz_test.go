@@ -6,13 +6,34 @@ import (
 	"testing"
 )
 
-// FuzzEventOrder drives both backends through an arbitrary interleaving
-// of pushes and pops decoded from the fuzz input and checks three
-// invariants: (1) heap, wheel, and a reference sort agree element-for-
-// element, (2) pop order is non-decreasing under the comparator, and
-// (3) nothing is lost or duplicated. The decoded schedule respects the
-// monotone-time contract (push times are offsets from the last pop), so
-// every generated interleaving is one a simulator could produce.
+// refQueue is the wheel's reference model: an unordered pending slice
+// whose Pop scans for the comparator-minimum. Quadratic, and obviously
+// right.
+type refQueue struct{ pending []ev }
+
+func (q *refQueue) Len() int  { return len(q.pending) }
+func (q *refQueue) Push(e ev) { q.pending = append(q.pending, e) }
+
+func (q *refQueue) Pop() ev {
+	m := 0
+	for i, e := range q.pending {
+		if evLess(e, q.pending[m]) {
+			m = i
+		}
+	}
+	top := q.pending[m]
+	q.pending = slices.Delete(q.pending, m, m+1)
+	return top
+}
+
+// FuzzEventOrder drives the wheel and the reference queue through an
+// arbitrary interleaving of pushes and pops decoded from the fuzz input
+// and checks three invariants: (1) wheel and reference agree element-
+// for-element, (2) pop order is non-decreasing under the comparator,
+// and (3) nothing is lost or duplicated. The decoded schedule respects
+// the monotone-time contract (push times are offsets from the last
+// pop), so every generated interleaving is one a simulator could
+// produce.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 254, 0, 0, 1, 1})
@@ -32,17 +53,17 @@ func FuzzEventOrder(f *testing.F) {
 			buckets = int(data[1]%16) + 1
 			data = data[2:]
 		}
-		h := NewHeap(evLess)
+		ref := &refQueue{}
 		w := NewWheel(width, buckets, 0, evTime, evLess)
 		var pushed, popped []ev
 		now := 0.0
 		sub := 0
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
-			if op%4 == 0 && h.Len() > 0 {
-				a, b := h.Pop(), w.Pop()
+			if op%4 == 0 && ref.Len() > 0 {
+				a, b := ref.Pop(), w.Pop()
 				if a != b {
-					t.Fatalf("pop %d: heap %+v wheel %+v", len(popped), a, b)
+					t.Fatalf("pop %d: reference %+v wheel %+v", len(popped), a, b)
 				}
 				if n := len(popped); n > 0 && evLess(a, popped[n-1]) {
 					t.Fatalf("pop order regressed: %+v after %+v", a, popped[n-1])
@@ -52,20 +73,20 @@ func FuzzEventOrder(f *testing.F) {
 			} else {
 				e := ev{t: now + float64(arg)*0.2, sub: sub, gen: int(op) % 3}
 				sub++
-				h.Push(e)
+				ref.Push(e)
 				w.Push(e)
 				pushed = append(pushed, e)
 			}
 		}
-		for h.Len() > 0 {
-			a, b := h.Pop(), w.Pop()
+		for ref.Len() > 0 {
+			a, b := ref.Pop(), w.Pop()
 			if a != b {
-				t.Fatalf("drain: heap %+v wheel %+v", a, b)
+				t.Fatalf("drain: reference %+v wheel %+v", a, b)
 			}
 			popped = append(popped, a)
 		}
 		if w.Len() != 0 {
-			t.Fatalf("wheel retains %d events after heap drained", w.Len())
+			t.Fatalf("wheel retains %d events after the reference drained", w.Len())
 		}
 		// Conservation: popped must be a permutation of pushed — and since
 		// the schedule is monotone, exactly the sorted-by-comparator merge
@@ -74,11 +95,11 @@ func FuzzEventOrder(f *testing.F) {
 		if len(popped) != len(pushed) {
 			t.Fatalf("pushed %d, popped %d", len(pushed), len(popped))
 		}
-		ref := slices.Clone(pushed)
-		slices.SortFunc(ref, evCmp)
-		check := slices.Clone(popped)
-		slices.SortFunc(check, evCmp)
-		if !slices.Equal(ref, check) {
+		want := slices.Clone(pushed)
+		slices.SortFunc(want, evCmp)
+		got := slices.Clone(popped)
+		slices.SortFunc(got, evCmp)
+		if !slices.Equal(want, got) {
 			t.Fatal("popped multiset differs from pushed multiset")
 		}
 	})

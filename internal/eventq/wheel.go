@@ -1,3 +1,11 @@
+// Package eventq is the shared event-scheduling core for the cluster
+// tier's discrete-event loop (closed and open loop alike): Wheel[T], a
+// calendar-queue timing wheel for monotone event time, O(1) amortized
+// push/pop when the bucket width matches the event density. Push and
+// Pop move T values directly, with no interface boxing, so pushing a
+// struct does not allocate, and pop order is exactly the supplied
+// comparator's total order, so the wheel's geometry never perturbs
+// event order.
 package eventq
 
 import (

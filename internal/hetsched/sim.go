@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dlrmsim/internal/check"
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 )
@@ -115,10 +114,8 @@ type simState struct {
 	devSeed   []uint64  // per-device jitter seed
 	prevEnd   []float64 // invariant: device clocks are monotone
 	busyMs    []float64
-	timers    *eventq.Heap[devTimer] // live device events; nil = legacy scan
-	devGen    []uint32               // per-device timer generation (stale-entry filter)
-	batchOf   [][]int32              // each device's in-flight batch members
-	doneBatch []int32                // completion scratch: batchOf may be re-launched
+	batchOf   [][]int32 // each device's in-flight batch members
+	doneBatch []int32   // completion scratch: batchOf may be re-launched
 	// (and its backing array reused) by the dispatches a completion
 	// triggers, so the finished members are copied out first.
 
@@ -169,8 +166,6 @@ func newSimState(cfg Config) (*simState, error) {
 		devSeed:   make([]uint64, nDev),
 		prevEnd:   make([]float64, nDev),
 		busyMs:    make([]float64, nDev),
-		timers:    newDevTimers(eventBackend, nDev),
-		devGen:    make([]uint32, nDev),
 		batchOf:   make([][]int32, nDev),
 	}
 	st.succ = make([][]int32, nPh)
@@ -291,7 +286,6 @@ func (st *simState) maybeStart(d int, t float64) {
 		if t < deadline {
 			st.holdArmed[d] = true
 			st.holdAt[d] = deadline
-			st.timerSet(d, deadline)
 			return
 		}
 	}
@@ -360,7 +354,6 @@ func (st *simState) startBatch(d int, t float64, k PhaseKind, n int) {
 	st.busy[d] = true
 	st.busyStart[d] = t
 	st.busyEnd[d] = t + svcMs
-	st.timerSet(d, st.busyEnd[d])
 	st.busyKind[d] = k
 	st.prevEnd[d] = t + svcMs
 	st.busyMs[d] += svcMs
@@ -385,7 +378,6 @@ func (st *simState) startBatch(d int, t float64, k PhaseKind, n int) {
 // its next batch (stealing one if the policy allows).
 func (st *simState) complete(d int, t float64) {
 	st.busy[d] = false
-	st.timerClear(d)
 	st.doneBatch = append(st.doneBatch[:0], st.batchOf[d]...)
 	st.batchOf[d] = st.batchOf[d][:0]
 	for _, p := range st.doneBatch {
@@ -457,34 +449,24 @@ func (st *simState) stealInto(d int) bool {
 func (st *simState) run() {
 	next := 0 // next arrival index
 	for {
-		// Earliest device event: a batch completion or a hold deadline.
-		// Both backends realize the same total order — (time, device
-		// index), lowest index winning ties.
+		// Earliest device event: a batch completion or a hold deadline,
+		// in (time, device index) order — a strict-less scan, so the
+		// lowest index wins ties. Fleets are named mixes of a handful of
+		// devices, where the scan beats a timer heap (DESIGN.md §12.4).
 		tE := math.Inf(1)
 		dev := -1
-		if st.timers != nil {
-			if t, d := st.nextTimer(); d >= 0 {
-				tE, dev = t, d
-				if check.Enabled {
-					live := st.busy[d] && tE == st.busyEnd[d] ||
-						!st.busy[d] && st.holdArmed[d] && tE == st.holdAt[d]
-					check.Assert(live, "hetsched: timer (t %g, dev %d) does not match device state", tE, d)
-				}
+		for d := range st.specs {
+			var cand float64
+			switch {
+			case st.busy[d]:
+				cand = st.busyEnd[d]
+			case st.holdArmed[d]:
+				cand = st.holdAt[d]
+			default:
+				continue
 			}
-		} else {
-			for d := range st.specs {
-				var cand float64
-				switch {
-				case st.busy[d]:
-					cand = st.busyEnd[d]
-				case st.holdArmed[d]:
-					cand = st.holdAt[d]
-				default:
-					continue
-				}
-				if cand < tE {
-					tE, dev = cand, d
-				}
+			if cand < tE {
+				tE, dev = cand, d
 			}
 		}
 		tA := math.Inf(1)
@@ -506,7 +488,6 @@ func (st *simState) run() {
 			st.complete(dev, tE)
 		default: // hold window expired: launch with what is queued
 			st.holdArmed[dev] = false
-			st.timerClear(dev)
 			q := st.pend[dev]
 			if len(q) > 0 {
 				k := st.cfg.Graph.Phases[int(q[0])%st.nPh].Kind
