@@ -8,7 +8,9 @@ GO ?= go
 # per-subsystem micro-benches (memsim access path, cpusim step loop,
 # cluster discrete-event run, the event-queue wheel against the boxed
 # container/heap baseline, the Zipf sampler with and without the shared
-# hot-rank table). BenchmarkCalibration
+# hot-rank table; BenchmarkHetSched also matches
+# BenchmarkHetSchedBacklogged, het2's batch-of-1 GPU under deep
+# backlog). BenchmarkCalibration
 # is the host-speed canary bench-gate normalizes by — keep it in every
 # captured point.
 BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessBatch|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfSample|BenchmarkZipfSampleShared|BenchmarkCalibration
@@ -97,7 +99,8 @@ golden: golden-update
 # Fuzz the structural invariants: cache residency/accounting, shard-plan
 # row ownership, seed-splitting collision freedom, arrival-stream
 # monotonicity/determinism, phase-graph validation-vs-scheduling
-# agreement, and the Zipf hot-rank table against the exact sampler. Each
+# agreement, the per-kind ready queues against a rescanning reference,
+# and the Zipf hot-rank table against the exact sampler. Each
 # target gets FUZZTIME; the checked-in corpora under testdata/fuzz and
 # the f.Add seeds run on every plain `make test` as ordinary seed cases.
 fuzz:
@@ -108,6 +111,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzZipfFastPath -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzArrivalStream -fuzztime $(FUZZTIME) ./internal/traffic
 	$(GO) test -run '^$$' -fuzz FuzzPhaseGraph -fuzztime $(FUZZTIME) ./internal/hetsched
+	$(GO) test -run '^$$' -fuzz FuzzKindQueues -fuzztime $(FUZZTIME) ./internal/hetsched
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime $(FUZZTIME) ./internal/eventq
 	$(GO) test -run '^$$' -fuzz FuzzWheelGeometry -fuzztime $(FUZZTIME) ./internal/eventq
 

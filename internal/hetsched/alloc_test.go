@@ -6,9 +6,11 @@ import (
 	"dlrmsim/internal/check"
 )
 
-// allocState builds a warmed simulator state whose queues and scratch
-// have reached steady-state capacity, so the measured paths exercise no
-// amortized slice growth.
+// allocState builds a simulator state with every device parked busy, so
+// the measured paths only route, enqueue and launch. The ready queues
+// are linked through per-instance arrays sized up front, so nothing on
+// those paths grows; each measured call feeds a distinct phase instance,
+// since an instance sits in at most one queue at a time.
 func allocState(t testing.TB, policy Policy) *simState {
 	t.Helper()
 	devs, err := NewMix("hetero")
@@ -20,7 +22,7 @@ func allocState(t testing.TB, policy Policy) *simState {
 		Devices:       devs,
 		Policy:        policy,
 		MeanArrivalMs: 0.05,
-		Requests:      64,
+		Requests:      512,
 		JitterFrac:    0.2,
 		Seed:          1,
 	})
@@ -28,21 +30,12 @@ func allocState(t testing.TB, policy Policy) *simState {
 		t.Fatal(err)
 	}
 	// Park every device busy far in the future so ready() only routes and
-	// enqueues, then pre-grow each pending queue past what a measurement
-	// appends.
+	// enqueues.
 	for d := range st.specs {
 		st.busy[d] = true
 		st.busyEnd[d] = 1e12
 		st.busyKind[d] = Gather
 	}
-	for i := 0; i < 1024; i++ {
-		st.ready(0, 1)
-	}
-	for d := range st.pend {
-		st.pend[d] = st.pend[d][:0]
-		st.pendEstMs[d] = 0
-	}
-	st.steals = 0
 	return st
 }
 
@@ -55,7 +48,7 @@ func TestDispatchZeroAlloc(t *testing.T) {
 		st := allocState(t, pol)
 		i := 0
 		avg := testing.AllocsPerRun(200, func() {
-			st.ready(0, float64(i))
+			st.ready(int32(i), float64(i))
 			i++
 		})
 		if avg != 0 {
@@ -71,9 +64,10 @@ func TestDispatchZeroAlloc(t *testing.T) {
 // keep check.Enabled off.
 func TestLaunchZeroAlloc(t *testing.T) {
 	st := allocState(t, Affinity)
-	// Queue 300 gathers on device 0 (a CPU: batch of 1 per launch).
+	// Queue 300 gathers (phase 0 of 300 requests) on device 0 (a CPU:
+	// batch of 1 per launch).
 	for i := 0; i < 300; i++ {
-		st.enqueue(0, 0, 1)
+		st.enqueue(0, int32(i*st.nPh), 1)
 	}
 	defer func(old bool) { check.Enabled = old }(check.Enabled)
 	check.Enabled = false
@@ -108,6 +102,24 @@ func BenchmarkHetSched(b *testing.B) {
 		JitterFrac:    0.2,
 		Seed:          1,
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHetSchedBacklogged measures het2's worst point: 2000 requests
+// on the cpu2gpu1 fleet with a batch-of-1 GPU offered more load than it
+// can serve, so its ready queue holds thousands of phases for most of the
+// run — the case a queue operation that scales with backlog makes
+// quadratic.
+func BenchmarkHetSchedBacklogged(b *testing.B) {
+	defer func(old bool) { check.Enabled = old }(check.Enabled)
+	check.Enabled = false
+	cfg := backlogConfig(b, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -92,6 +92,17 @@ const (
 
 func (d DeviceSpec) can(k PhaseKind) bool { return d.Speed[k] > 0 }
 
+// kinds is the set of phase kinds the device can run.
+func (d DeviceSpec) kinds() kindMask {
+	var m kindMask
+	for k := PhaseKind(0); k < NumKinds; k++ {
+		if d.can(k) {
+			m |= 1 << k
+		}
+	}
+	return m
+}
+
 func (d DeviceSpec) maxBatch() int {
 	if d.MaxBatch < 1 {
 		return 1

@@ -102,8 +102,8 @@ type simState struct {
 	finish     []float64
 
 	// per device
-	pend      [][]int32 // ready-phase FIFO (index 0 is the head)
-	pendEstMs []float64 // summed service estimates of the queue (EFT)
+	queue     readyQueues // per-kind ready FIFOs, linked through the instances
+	pendEstMs []float64   // summed service estimates of the queue (EFT)
 	busy      []bool
 	busyStart []float64
 	busyEnd   []float64
@@ -120,6 +120,7 @@ type simState struct {
 	// triggers, so the finished members are copied out first.
 
 	steals               int
+	launched             int // phases launched on any device
 	batches, batchItems  int // launches/items on MaxBatch>1 devices
 	waitSumMs            float64
 	waitCount            int
@@ -154,7 +155,7 @@ func newSimState(cfg Config) (*simState, error) {
 		phasesLeft: make([]int8, cfg.Requests),
 		finish:     make([]float64, cfg.Requests),
 
-		pend:      make([][]int32, nDev),
+		queue:     newReadyQueues(cfg.Requests*nPh, nDev),
 		pendEstMs: make([]float64, nDev),
 		busy:      make([]bool, nDev),
 		busyStart: make([]float64, nDev),
@@ -235,11 +236,11 @@ func (st *simState) ready(p int32, t float64) {
 		}
 	case Steal:
 		d = st.plan.pick(k)
-		if st.busy[d] || len(st.pend[d]) > 0 {
+		if st.busy[d] || st.queue.dev[d].total > 0 {
 			// Divert to an idle device with an empty queue that can run
 			// the phase — work sharing before the queue even forms.
 			for e := range st.specs {
-				if e != d && !st.busy[e] && len(st.pend[e]) == 0 && st.specs[e].can(k) {
+				if e != d && !st.busy[e] && st.queue.dev[e].total == 0 && st.specs[e].can(k) {
 					d = e
 					st.steals++
 					break
@@ -253,8 +254,8 @@ func (st *simState) ready(p int32, t float64) {
 }
 
 func (st *simState) enqueue(d int, p int32, t float64) {
-	st.pend[d] = append(st.pend[d], p)
 	ph := &st.cfg.Graph.Phases[int(p)%st.nPh]
+	st.queue.push(d, p, ph.Kind)
 	st.pendEstMs[d] += st.estSvcMs(d, ph.Kind, ph.WorkUs)
 	if !st.busy[d] {
 		st.maybeStart(d, t)
@@ -264,25 +265,14 @@ func (st *simState) enqueue(d int, p int32, t float64) {
 // maybeStart launches a batch on an idle device, or arms the batching
 // hold window when the device prefers to wait for a fuller batch.
 func (st *simState) maybeStart(d int, t float64) {
-	if st.busy[d] || len(st.pend[d]) == 0 {
+	if st.busy[d] || st.queue.dev[d].total == 0 {
 		return
 	}
 	spec := &st.specs[d]
-	mb := spec.maxBatch()
-	q := st.pend[d]
-	k := st.cfg.Graph.Phases[int(q[0])%st.nPh].Kind
-	n := 0
-	for _, p := range q {
-		if st.cfg.Graph.Phases[int(p)%st.nPh].Kind == k {
-			n++
-			if n == mb {
-				break
-			}
-		}
-	}
-	if n < mb && spec.HoldUs > 0 {
+	oldest, k, n := st.nextBatch(d)
+	if n < spec.maxBatch() && spec.HoldUs > 0 {
 		// Wait for the window measured from the oldest pending phase.
-		deadline := st.readyAt[q[0]] + spec.HoldUs/1e3
+		deadline := st.readyAt[oldest] + spec.HoldUs/1e3
 		if t < deadline {
 			st.holdArmed[d] = true
 			st.holdAt[d] = deadline
@@ -293,38 +283,40 @@ func (st *simState) maybeStart(d int, t float64) {
 	st.startBatch(d, t, k, n)
 }
 
+// nextBatch picks device d's next launch from its non-empty queue: the
+// oldest queued phase, its kind k, and how many kind-k phases (at most
+// MaxBatch) the launch takes.
+func (st *simState) nextBatch(d int) (oldest int32, k PhaseKind, n int) {
+	oldest, k = st.queue.oldest(d, allKinds)
+	return oldest, k, min(st.queue.dev[d].count[k], st.specs[d].maxBatch())
+}
+
 // startBatch pulls the first n kind-k phases off d's queue and serves
 // them as one batch.
 func (st *simState) startBatch(d int, t float64, k PhaseKind, n int) {
 	spec := &st.specs[d]
 	batch := st.batchOf[d][:0]
-	q := st.pend[d]
-	w := 0 // write cursor for the phases left behind
 	svcUs := spec.FixedUs[k]
-	for _, p := range q {
+	for range n {
+		p := st.queue.pop(d, k)
 		ph := &st.cfg.Graph.Phases[int(p)%st.nPh]
-		if len(batch) < n && ph.Kind == k {
-			batch = append(batch, p)
-			svcUs += spec.Speed[k] * ph.WorkUs
-			st.pendEstMs[d] -= st.estSvcMs(d, ph.Kind, ph.WorkUs)
-			if check.Enabled {
-				check.Assert(st.depsLeft[p] == 0 && st.readyAt[p] <= t,
-					"hetsched: phase %d started at %g before ready (deps %d, ready %g)",
-					p, t, st.depsLeft[p], st.readyAt[p])
-			}
-			req := int(p) / st.nPh
-			if req >= st.cfg.WarmupRequests {
-				st.waitSumMs += t - st.readyAt[p]
-				st.waitCount++
-			}
-			continue
+		batch = append(batch, p)
+		svcUs += spec.Speed[k] * ph.WorkUs
+		st.pendEstMs[d] -= st.estSvcMs(d, k, ph.WorkUs)
+		if check.Enabled {
+			check.Assert(st.depsLeft[p] == 0 && st.readyAt[p] <= t,
+				"hetsched: phase %d started at %g before ready (deps %d, ready %g)",
+				p, t, st.depsLeft[p], st.readyAt[p])
 		}
-		q[w] = p
-		w++
+		req := int(p) / st.nPh
+		if req >= st.cfg.WarmupRequests {
+			st.waitSumMs += t - st.readyAt[p]
+			st.waitCount++
+		}
 	}
-	st.pend[d] = q[:w]
 	st.batchOf[d] = batch
-	if w == 0 {
+	st.launched += n
+	if st.queue.dev[d].total == 0 {
 		st.pendEstMs[d] = 0 // clamp float drift on empty queues
 	}
 
@@ -384,7 +376,7 @@ func (st *simState) complete(d int, t float64) {
 		st.finishPhase(p, t)
 	}
 	st.maybeStart(d, t)
-	if st.cfg.Policy == Steal && !st.busy[d] && len(st.pend[d]) == 0 {
+	if st.cfg.Policy == Steal && !st.busy[d] && st.queue.dev[d].total == 0 {
 		if st.stealInto(d) {
 			st.steals++
 			st.maybeStart(d, t)
@@ -421,28 +413,28 @@ func (st *simState) finishPhase(p int32, t float64) {
 func (st *simState) stealInto(d int) bool {
 	src, best := -1, 0
 	for e := range st.specs {
-		if e != d && len(st.pend[e]) > best {
-			src, best = e, len(st.pend[e])
+		if e != d && st.queue.dev[e].total > best {
+			src, best = e, st.queue.dev[e].total
 		}
 	}
 	if src < 0 {
 		return false
 	}
-	q := st.pend[src]
-	for i, p := range q {
-		ph := &st.cfg.Graph.Phases[int(p)%st.nPh]
-		if !st.specs[d].can(ph.Kind) {
-			continue
-		}
-		copy(q[i:], q[i+1:])
-		st.pend[src] = q[:len(q)-1]
-		est := st.estSvcMs(src, ph.Kind, ph.WorkUs)
-		st.pendEstMs[src] -= est
-		st.pend[d] = append(st.pend[d], p)
-		st.pendEstMs[d] += st.estSvcMs(d, ph.Kind, ph.WorkUs)
-		return true
+	p, k := st.queue.oldest(src, st.specs[d].kinds())
+	if p == qEnd {
+		return false
 	}
-	return false
+	st.queue.pop(src, k)
+	workUs := st.cfg.Graph.Phases[int(p)%st.nPh].WorkUs
+	st.pendEstMs[src] -= st.estSvcMs(src, k, workUs)
+	if st.queue.dev[src].total == 0 {
+		// Only EFT reads the estimates and it never steals, so the clamp
+		// changes no decision; it keeps drained queues at exactly 0.
+		st.pendEstMs[src] = 0
+	}
+	st.queue.push(d, p, k)
+	st.pendEstMs[d] += st.estSvcMs(d, k, workUs)
+	return true
 }
 
 // run processes arrivals and device events in global time order.
@@ -488,19 +480,8 @@ func (st *simState) run() {
 			st.complete(dev, tE)
 		default: // hold window expired: launch with what is queued
 			st.holdArmed[dev] = false
-			q := st.pend[dev]
-			if len(q) > 0 {
-				k := st.cfg.Graph.Phases[int(q[0])%st.nPh].Kind
-				n := 0
-				mb := st.specs[dev].maxBatch()
-				for _, p := range q {
-					if st.cfg.Graph.Phases[int(p)%st.nPh].Kind == k {
-						n++
-						if n == mb {
-							break
-						}
-					}
-				}
+			if st.queue.dev[dev].total > 0 {
+				_, k, n := st.nextBatch(dev)
 				st.startBatch(dev, tE, k, n)
 			}
 		}
@@ -524,7 +505,24 @@ func Simulate(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	st.run()
+	if check.Enabled {
+		st.checkDrained()
+	}
 	return st.result(), nil
+}
+
+// checkDrained asserts queue conservation after the run: every queue is
+// empty with its service estimate back at exactly 0, and the devices
+// launched as many batch items as the run has phase instances.
+func (st *simState) checkDrained() {
+	for d := range st.queue.dev {
+		dq := &st.queue.dev[d]
+		check.Assert(dq.total == 0 && dq.count == [NumKinds]int{} && st.pendEstMs[d] == 0,
+			"hetsched: device %d ended with %d queued phases (per kind %v) and estimate %g ms",
+			d, dq.total, dq.count, st.pendEstMs[d])
+	}
+	want := st.cfg.Requests * st.nPh
+	check.Assert(st.launched == want, "hetsched: %d phases launched, want %d", st.launched, want)
 }
 
 func (st *simState) result() Result {
