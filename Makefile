@@ -5,7 +5,8 @@ GO ?= go
 
 # Headline benchmarks captured in BENCH_<n>.json: the parallel-runner
 # sweep, the engine fan-out, a full end-to-end artifact, plus the
-# per-subsystem micro-benches (memsim access path, cpusim step loop,
+# per-subsystem micro-benches (memsim access path — BenchmarkAccessSequential
+# is Access, one call per line, on a gather — cpusim step loop,
 # cluster discrete-event run, the event-queue wheel against the boxed
 # container/heap baseline, the Zipf sampler with and without the shared
 # hot-rank table; BenchmarkHetSched also matches
@@ -13,7 +14,7 @@ GO ?= go
 # backlog). BenchmarkCalibration
 # is the host-speed canary bench-gate normalizes by — keep it in every
 # captured point.
-BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessBatch|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfSample|BenchmarkZipfSampleShared|BenchmarkCalibration
+BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfSample|BenchmarkZipfSampleShared|BenchmarkCalibration
 BENCH_PKGS  ?= . ./internal/memsim ./internal/cpusim ./internal/cluster ./internal/hetsched ./internal/eventq ./internal/stats
 BENCHTIME   ?= 2s
 BENCH_N     ?= 0

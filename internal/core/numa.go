@@ -22,20 +22,23 @@ type NUMAOptions struct {
 	BatchSize int
 	Seed      uint64
 
-	// Sockets (1 or 2) and CoresPerSocket shape the node.
+	// Sockets (0 or 1 for one socket, or 2) and CoresPerSocket shape
+	// the node.
 	Sockets        int
 	CoresPerSocket int
 	// ActiveCores run one batch each (socket-major placement); the rest
 	// idle. This is how "pinned to socket 0" (ActiveCores ≤
 	// CoresPerSocket) versus "spread" is expressed.
 	ActiveCores int
-	// RemotePenaltyCyc is the interconnect penalty (default 150).
-	RemotePenaltyCyc int64
 	// Prefetch enables Algorithm 3 in the embedding streams.
 	Prefetch embedding.PrefetchConfig
 	// BandwidthIterations bounds the per-socket fixed point.
 	BandwidthIterations int
 }
+
+// remotePenaltyCyc is the interconnect penalty of a remote-socket fill
+// on the 6240R in core cycles (~60 ns at 2.4 GHz).
+const remotePenaltyCyc = 150
 
 // NUMAReport is the embedding-only result of a multi-socket run.
 type NUMAReport struct {
@@ -53,6 +56,9 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 	if opts.BatchSize == 0 {
 		opts.BatchSize = 64
 	}
+	if opts.Sockets < 0 || opts.Sockets > 2 {
+		return NUMAReport{}, fmt.Errorf("core: %d sockets; want 0, 1 or 2", opts.Sockets)
+	}
 	if opts.Sockets == 0 {
 		opts.Sockets = 1
 	}
@@ -61,9 +67,6 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 	}
 	if opts.ActiveCores == 0 {
 		opts.ActiveCores = opts.CoresPerSocket
-	}
-	if opts.RemotePenaltyCyc == 0 {
-		opts.RemotePenaltyCyc = 150
 	}
 	if opts.ActiveCores > opts.Sockets*opts.CoresPerSocket {
 		return NUMAReport{}, fmt.Errorf("core: %d active cores on %d", opts.ActiveCores, opts.Sockets*opts.CoresPerSocket)
@@ -87,12 +90,12 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 	if err != nil {
 		return NUMAReport{}, err
 	}
-	sys := cpusim.NewNUMASystem(cpusim.NUMAParams{
+	sys := cpusim.NewSystem(cpusim.SystemParams{
 		Core:                cpu.Core,
 		Mem:                 cpu.Mem,
+		Cores:               opts.CoresPerSocket,
 		Sockets:             opts.Sockets,
-		CoresPerSocket:      opts.CoresPerSocket,
-		RemotePenaltyCyc:    opts.RemotePenaltyCyc,
+		RemotePenaltyCyc:    remotePenaltyCyc,
 		BandwidthIterations: opts.BandwidthIterations,
 	})
 	work := make([]cpusim.CoreWork, opts.ActiveCores)
@@ -111,7 +114,7 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 	}
 	res := sys.Run(work)
 	rep := NUMAReport{
-		BatchLatencyCycles: meanCoreCycles(res.PerCore),
+		BatchLatencyCycles: res.MeanCoreCycles(),
 		AvgLoadLatency:     res.AvgLoadLatency,
 		RemoteFillFraction: res.RemoteFillFraction,
 	}
@@ -120,15 +123,4 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 		rep.SocketBandwidthGBs = append(rep.SocketBandwidthGBs, b*cpu.FrequencyGHz)
 	}
 	return rep, nil
-}
-
-func meanCoreCycles(per []cpusim.CoreRunResult) float64 {
-	if len(per) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, c := range per {
-		sum += c.Cycles
-	}
-	return sum / float64(len(per))
 }

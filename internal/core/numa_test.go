@@ -89,6 +89,16 @@ func TestRunNUMAValidation(t *testing.T) {
 	if _, err := RunNUMA(o); err == nil {
 		t.Fatal("accepted invalid model")
 	}
+	// Only one socket or two page-interleaved sockets are modeled; any
+	// other count must fail rather than run unconnected sockets.
+	for _, n := range []int{-1, 3} {
+		o = numaOpts()
+		o.Sockets = n
+		o.ActiveCores = 1
+		if _, err := RunNUMA(o); err == nil {
+			t.Fatalf("accepted %d sockets", n)
+		}
+	}
 }
 
 func TestRunNUMADefaults(t *testing.T) {

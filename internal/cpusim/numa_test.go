@@ -6,43 +6,45 @@ import (
 	"dlrmsim/internal/memsim"
 )
 
-func numaParams(sockets, coresPer int) NUMAParams {
-	return NUMAParams{
-		Core:             testCoreParams(),
-		Mem:              testMemParams(false),
-		Sockets:          sockets,
-		CoresPerSocket:   coresPer,
-		RemotePenaltyCyc: 150,
+func numaParams(sockets, coresPer int) SystemParams {
+	p := testSystemParams(coresPer)
+	p.Sockets = sockets
+	p.RemotePenaltyCyc = 150
+	return p
+}
+
+// pageLoads scans page-interleaved memory from base with a stride of one
+// page plus a line, so consecutive accesses alternate home sockets.
+func pageLoads(base memsim.Addr) StreamFactory {
+	return func() Stream {
+		ops := make([]Op, 400)
+		for i := range ops {
+			ops[i] = Op{Kind: OpLoad, Addr: base + memsim.Addr(i)*(4096+64)}
+		}
+		return NewSliceStream(ops)
 	}
 }
 
-func TestNUMASingleSocketMatchesSystem(t *testing.T) {
-	work := []CoreWork{SingleWork(loadFactory(200, 0))}
-	numa := NewNUMASystem(numaParams(1, 2)).Run(work)
-	flat := NewSystem(testSystemParams(2)).Run(work)
-	ratio := numa.Cycles / flat.Cycles
-	if ratio < 0.99 || ratio > 1.01 {
-		t.Fatalf("1-socket NUMA (%g) != flat system (%g)", numa.Cycles, flat.Cycles)
+func TestSingleSocketHasNoRemoteFills(t *testing.T) {
+	res := NewSystem(numaParams(1, 2)).Run([]CoreWork{
+		SingleWork(loadFactory(200, 0)),
+		SingleWork(pageLoads(1 << 32)),
+	})
+	if res.RemoteFillFraction != 0 {
+		t.Fatalf("1-socket run reported %g remote fills", res.RemoteFillFraction)
 	}
-	if numa.RemoteFillFraction != 0 {
-		t.Fatalf("1-socket run reported %g remote fills", numa.RemoteFillFraction)
+	if len(res.SocketBandwidthBytesPerCyc) != 1 || res.SocketBandwidthBytesPerCyc[0] != res.BandwidthBytesPerCyc {
+		t.Fatalf("socket bandwidth %v, want one entry equal to %g",
+			res.SocketBandwidthBytesPerCyc, res.BandwidthBytesPerCyc)
 	}
 }
 
 func TestNUMARemoteAccessesCostMore(t *testing.T) {
-	// One core on socket 0 scanning page-interleaved memory (stride of
-	// one page plus a line, so consecutive accesses alternate home
-	// sockets): ~half the fills are remote, so the run must be slower
-	// than a UMA system and must report remote traffic.
-	pageLoads := func() Stream {
-		ops := make([]Op, 400)
-		for i := range ops {
-			ops[i] = Op{Kind: OpLoad, Addr: memsim.Addr(i) * (4096 + 64)}
-		}
-		return NewSliceStream(ops)
-	}
-	work := []CoreWork{SingleWork(func() Stream { return pageLoads() })}
-	numa := NewNUMASystem(numaParams(2, 1)).Run(work)
+	// One core on socket 0 scanning page-interleaved memory: ~half the
+	// fills are remote, so the run must be slower than a UMA system and
+	// must report remote traffic.
+	work := []CoreWork{SingleWork(pageLoads(0))}
+	numa := NewSystem(numaParams(2, 1)).Run(work)
 	flat := NewSystem(testSystemParams(1)).Run(work)
 	if numa.Cycles <= flat.Cycles {
 		t.Fatalf("NUMA run (%g) not slower than UMA (%g)", numa.Cycles, flat.Cycles)
@@ -52,6 +54,24 @@ func TestNUMARemoteAccessesCostMore(t *testing.T) {
 	}
 	if numa.AvgLoadLatency <= flat.AvgLoadLatency {
 		t.Fatalf("NUMA load latency %g not above UMA %g", numa.AvgLoadLatency, flat.AvgLoadLatency)
+	}
+	// With socket 1 idle, every fill its DRAM served was remote.
+	want := numa.SocketBandwidthBytesPerCyc[1] / numa.BandwidthBytesPerCyc
+	if d := numa.RemoteFillFraction - want; d > 1e-12 || d < -1e-12 {
+		t.Fatalf("remote fill fraction %g, idle socket's share of traffic %g", numa.RemoteFillFraction, want)
+	}
+}
+
+func TestNUMARemoteFillsCountedOnBothSockets(t *testing.T) {
+	// One core per socket, both scanning interleaved memory: each
+	// socket's cores fault about half their lines to the other socket,
+	// so the remote share stays near one half with no idle socket.
+	res := NewSystem(numaParams(2, 1)).Run([]CoreWork{
+		SingleWork(pageLoads(0)),
+		SingleWork(pageLoads(1 << 32)),
+	})
+	if res.RemoteFillFraction < 0.3 || res.RemoteFillFraction > 0.7 {
+		t.Fatalf("remote fill fraction = %g with both sockets active, want ~0.5", res.RemoteFillFraction)
 	}
 }
 
@@ -65,7 +85,7 @@ func TestNUMATwoSocketsDoubleBandwidth(t *testing.T) {
 		}
 		return w
 	}
-	two := NewNUMASystem(numaParams(2, 2)).Run(mk(4))
+	two := NewSystem(numaParams(2, 2)).Run(mk(4))
 	var bwTwo float64
 	for _, b := range two.SocketBandwidthBytesPerCyc {
 		bwTwo += b
@@ -81,9 +101,10 @@ func TestNUMATwoSocketsDoubleBandwidth(t *testing.T) {
 
 func TestNUMAPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewNUMASystem(numaParams(0, 1)) },
-		func() { NewNUMASystem(numaParams(1, 0)) },
-		func() { NewNUMASystem(numaParams(1, 1)).Run(make([]CoreWork, 5)) },
+		func() { NewSystem(numaParams(-1, 1)) },
+		func() { NewSystem(numaParams(3, 1)) },
+		func() { NewSystem(numaParams(2, 0)) },
+		func() { NewSystem(numaParams(2, 2)).Run(make([]CoreWork, 5)) },
 	} {
 		func() {
 			defer func() {
@@ -97,15 +118,15 @@ func TestNUMAPanics(t *testing.T) {
 }
 
 func TestNUMADeterministic(t *testing.T) {
-	run := func() NUMAResult {
-		return NewNUMASystem(numaParams(2, 2)).Run([]CoreWork{
+	run := func() SystemResult {
+		return NewSystem(numaParams(2, 2)).Run([]CoreWork{
 			SingleWork(loadFactory(100, 0)),
 			SingleWork(loadFactory(100, 1<<32)),
 			SingleWork(loadFactory(100, 2<<32)),
 		})
 	}
 	a, b := run(), run()
-	if a.Cycles != b.Cycles || a.AvgLoadLatency != b.AvgLoadLatency {
+	if a.Cycles != b.Cycles || a.AvgLoadLatency != b.AvgLoadLatency || a.RemoteFillFraction != b.RemoteFillFraction {
 		t.Fatal("NUMA run not deterministic")
 	}
 }

@@ -8,29 +8,44 @@ import (
 	"dlrmsim/internal/memsim"
 )
 
+// maxSockets is the largest socket count a System models: one socket,
+// or the paper's 2-socket testbed with page-interleaved memory.
+const maxSockets = 2
+
 // SystemParams configures a multi-core run.
 type SystemParams struct {
 	Core CoreParams
 	Mem  memsim.MemParams
-	// Cores is the number of physical cores to instantiate.
+	// Cores is the number of physical cores to instantiate per socket.
 	Cores int
+	// Sockets is 0 or 1 for one socket, or 2 for two sockets, each with
+	// its own LLC and DRAM, whose memory is page-interleaved: a core
+	// filling a line homed on the other socket pays RemotePenaltyCyc and
+	// consumes that socket's bandwidth (DESIGN.md §5).
+	Sockets int
+	// RemotePenaltyCyc is the extra latency of a remote-socket fill in
+	// core cycles (~60-90 ns on UPI). Unused with one socket.
+	RemotePenaltyCyc int64
 	// BandwidthIterations is how many fixed-point refinements of the DRAM
 	// utilization to run (see DESIGN.md §5). 0 means the default of 3.
 	BandwidthIterations int
-	// InitialUtilization seeds the fixed point; useful when the caller
-	// already knows the run is bandwidth-bound.
-	InitialUtilization float64
 }
 
 // Validate reports every problem with the system parameters at once
 // (errors.Join): the core's microarchitectural knobs, the full memory
-// geometry, the core count, and the fixed-point controls. NewSystem
-// panics on the same conditions; Validate is the fail-fast front door for
-// config layers and CLIs.
+// geometry, the core and socket counts, and the fixed-point controls.
+// NewSystem panics on the core, socket and core-parameter conditions;
+// Validate is the fail-fast front door for config layers and CLIs.
 func (p SystemParams) Validate() error {
 	var errs []error
 	if p.Cores < 1 {
 		errs = append(errs, fmt.Errorf("cpusim: %d cores", p.Cores))
+	}
+	if p.Sockets < 0 || p.Sockets > maxSockets {
+		errs = append(errs, fmt.Errorf("cpusim: %d sockets; want 0, 1 or 2", p.Sockets))
+	}
+	if p.RemotePenaltyCyc < 0 {
+		errs = append(errs, fmt.Errorf("cpusim: negative remote penalty %d", p.RemotePenaltyCyc))
 	}
 	if err := p.Core.Validate(); err != nil {
 		errs = append(errs, err)
@@ -40,9 +55,6 @@ func (p SystemParams) Validate() error {
 	}
 	if p.BandwidthIterations < 0 {
 		errs = append(errs, fmt.Errorf("cpusim: negative bandwidth iterations %d", p.BandwidthIterations))
-	}
-	if p.InitialUtilization < 0 || p.InitialUtilization >= 1 {
-		errs = append(errs, fmt.Errorf("cpusim: initial utilization %g outside [0,1)", p.InitialUtilization))
 	}
 	return errors.Join(errs...)
 }
@@ -113,14 +125,22 @@ func (c CoreRunResult) PhaseCycles(label string) float64 {
 type SystemResult struct {
 	// Cycles is the completion time of the slowest core.
 	Cycles float64
-	// PerCore holds each core's result, index-aligned with the work.
+	// PerCore holds each core's result, index-aligned with the work
+	// (socket-major: core i of socket k is work item k*Cores+i).
 	PerCore []CoreRunResult
 	// DRAMBytes is the total traffic the run moved from memory.
 	DRAMBytes uint64
-	// BandwidthBytesPerCyc is realized DRAM bandwidth (bytes/cycle).
+	// BandwidthBytesPerCyc is realized DRAM bandwidth (bytes/cycle),
+	// summed over sockets.
 	BandwidthBytesPerCyc float64
-	// BandwidthUtilization is realized bandwidth over the platform peak.
+	// BandwidthUtilization is realized bandwidth over the peak of all
+	// sockets together.
 	BandwidthUtilization float64
+	// SocketBandwidthBytesPerCyc is realized DRAM bandwidth per socket.
+	SocketBandwidthBytesPerCyc []float64
+	// RemoteFillFraction is the fraction of DRAM fills served by the
+	// other socket's DRAM (0 with one socket).
+	RemoteFillFraction float64
 	// AvgLoadLatency is the demand-load latency averaged over all cores.
 	AvgLoadLatency float64
 	// L1HitRate, L2HitRate, L3HitRate are demand hit rates aggregated
@@ -162,69 +182,92 @@ func (r SystemResult) MeanCoreCycles() float64 {
 	return total / float64(len(r.PerCore))
 }
 
-// System owns the cores and shared memory of one simulated socket.
+// System owns the cores and shared memory of one simulated node: one
+// socket, or two page-interleaved sockets.
 type System struct {
-	params SystemParams
-	shared *memsim.Shared
-	cores  []*Core
+	params  SystemParams
+	shareds []*memsim.Shared // one per socket
+	cores   []*Core          // socket-major: cores[k*Cores+i]
 }
 
-// NewSystem builds a socket with params.Cores cores. It panics on invalid
-// configuration.
+// NewSystem builds params.Sockets sockets of params.Cores cores each. It
+// panics on invalid configuration.
 func NewSystem(params SystemParams) *System {
 	if params.Cores < 1 {
 		panic(fmt.Sprintf("cpusim: %d cores", params.Cores))
 	}
+	if params.Sockets < 0 || params.Sockets > maxSockets {
+		panic(fmt.Sprintf("cpusim: %d sockets", params.Sockets))
+	}
 	if err := params.Core.Validate(); err != nil {
 		panic(err)
+	}
+	if params.Sockets == 0 {
+		params.Sockets = 1
 	}
 	if params.BandwidthIterations <= 0 {
 		params.BandwidthIterations = 3
 	}
-	s := &System{params: params, shared: memsim.NewShared(params.Mem)}
-	for i := 0; i < params.Cores; i++ {
-		hier := memsim.NewHierarchy(params.Mem, s.shared)
-		s.cores = append(s.cores, NewCore(params.Core, hier))
+	s := &System{params: params}
+	for k := 0; k < params.Sockets; k++ {
+		s.shareds = append(s.shareds, memsim.NewShared(params.Mem))
+	}
+	if params.Sockets == 2 {
+		for k, sh := range s.shareds {
+			sh.Socket = k
+			sh.Remote = s.shareds[1-k].DRAM
+			sh.RemotePenaltyCyc = params.RemotePenaltyCyc
+		}
+	}
+	for _, sh := range s.shareds {
+		for i := 0; i < params.Cores; i++ {
+			s.cores = append(s.cores, NewCore(params.Core, memsim.NewHierarchy(params.Mem, sh)))
+		}
 	}
 	return s
 }
 
-// Shared exposes the socket's LLC and DRAM.
-func (s *System) Shared() *memsim.Shared { return s.shared }
-
-// Cores returns the core count.
+// Cores returns the core count over all sockets.
 func (s *System) Cores() int { return len(s.cores) }
-
-// Core returns core i (for counter inspection after a run).
-func (s *System) Core(i int) *Core { return s.cores[i] }
 
 // Run simulates the given per-core work to completion. len(work) must not
 // exceed the core count; unassigned cores stay idle. Cores interleave
 // earliest-first in simulated time, so shared-LLC interactions
 // (constructive and destructive) happen in causal order.
 //
-// DRAM bandwidth is resolved by fixed point: the run is simulated with a
-// guessed utilization ρ, the realized utilization is measured, and the
-// guess is updated (damped) until the iteration budget is spent or the
-// guess converges. The final iteration's state is returned.
+// DRAM bandwidth is resolved by fixed point, one utilization ρ per
+// socket: the run is simulated with guessed utilizations, each socket's
+// realized utilization is measured, and the guesses are updated (damped)
+// until the iteration budget is spent or every socket's guess converges.
+// The final iteration's state is returned.
 func (s *System) Run(work []CoreWork) SystemResult {
 	if len(work) > len(s.cores) {
 		panic(fmt.Sprintf("cpusim: %d work items for %d cores", len(work), len(s.cores)))
 	}
-	rho := s.params.InitialUtilization
+	var rho [maxSockets]float64
+	bw := make([]float64, len(s.shareds))
+	peak := s.params.Mem.DRAM.PeakBandwidthBytesPerCyc
 	var res SystemResult
 	for iter := 0; iter < s.params.BandwidthIterations; iter++ {
-		s.shared.Reset()
-		s.shared.DRAM.SetUtilization(rho)
-		res = s.runOnce(work)
+		for k, sh := range s.shareds {
+			sh.Reset()
+			sh.DRAM.SetUtilization(rho[k])
+		}
+		res = s.runOnce(work, bw)
 		if res.Cycles <= 0 {
 			break
 		}
-		realized := res.BandwidthUtilization
-		if math.Abs(realized-rho) < 0.01 {
+		converged := true
+		for k := range s.shareds {
+			realized := bw[k] / peak
+			if math.Abs(realized-rho[k]) >= 0.01 {
+				converged = false
+			}
+			rho[k] = (rho[k] + realized) / 2
+		}
+		if converged {
 			break
 		}
-		rho = (rho + realized) / 2
 	}
 	return res
 }
@@ -267,7 +310,9 @@ func (cs *coreState) finishPhase() {
 	cs.done = true
 }
 
-func (s *System) runOnce(work []CoreWork) SystemResult {
+// runOnce simulates the work once at the installed utilizations and
+// writes each socket's realized bandwidth into bw.
+func (s *System) runOnce(work []CoreWork, bw []float64) SystemResult {
 	states := make([]*coreState, 0, len(work))
 	for i, w := range work {
 		core := s.cores[i]
@@ -283,7 +328,7 @@ func (s *System) runOnce(work []CoreWork) SystemResult {
 
 	runStates(states)
 
-	res := SystemResult{PerCore: make([]CoreRunResult, len(states))}
+	res := SystemResult{PerCore: make([]CoreRunResult, len(states)), SocketBandwidthBytesPerCyc: bw}
 	var loads, l1h, l1m, l2h, l2m, swpf uint64
 	var latSum int64
 	for i, cs := range states {
@@ -300,19 +345,31 @@ func (s *System) runOnce(work []CoreWork) SystemResult {
 		l2h += cs.core.Hierarchy().L2.Stats.DemandHits
 		l2m += cs.core.Hierarchy().L2.Stats.DemandMisses
 	}
-	res.DRAMBytes = s.shared.DRAM.Stats.BytesRead
+	var fills, remote, l3h, l3m uint64
+	for _, sh := range s.shareds {
+		res.DRAMBytes += sh.DRAM.Stats.BytesRead
+		fills += sh.DRAM.Stats.LineFills
+		remote += sh.RemoteFills
+		l3h += sh.L3.Stats.DemandHits
+		l3m += sh.L3.Stats.DemandMisses
+	}
 	if res.Cycles > 0 {
 		res.BandwidthBytesPerCyc = float64(res.DRAMBytes) / res.Cycles
-		res.BandwidthUtilization = res.BandwidthBytesPerCyc / s.params.Mem.DRAM.PeakBandwidthBytesPerCyc
+		res.BandwidthUtilization = res.BandwidthBytesPerCyc / (s.params.Mem.DRAM.PeakBandwidthBytesPerCyc * float64(len(s.shareds)))
+		for k, sh := range s.shareds {
+			bw[k] = float64(sh.DRAM.Stats.BytesRead) / res.Cycles
+		}
+	}
+	if fills > 0 {
+		res.RemoteFillFraction = float64(remote) / float64(fills)
 	}
 	if loads > 0 {
 		res.AvgLoadLatency = float64(latSum) / float64(loads)
 	}
 	res.L1HitRate = rate(l1h, l1m)
 	res.L2HitRate = rate(l2h, l2m)
+	res.L3HitRate = rate(l3h, l3m)
 	res.SWPrefetches = swpf
-	l3 := s.shared.L3.Stats
-	res.L3HitRate = rate(l3.DemandHits, l3.DemandMisses)
 	return res
 }
 

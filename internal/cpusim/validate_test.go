@@ -150,3 +150,33 @@ func TestValidateSMTThroughputCeiling(t *testing.T) {
 		t.Fatalf("SMT pair (%.0f) beat single-thread issue (%.0f)", pair.Cycles, one.Cycles)
 	}
 }
+
+// TestSystemParamsValidateSockets pins the socket counts a System can
+// model: one socket (0 or 1) or two page-interleaved sockets. Validate
+// and NewSystem reject the rest rather than build unconnected sockets.
+func TestSystemParamsValidateSockets(t *testing.T) {
+	for _, n := range []int{0, 1, 2} {
+		if err := numaParams(n, 1).Validate(); err != nil {
+			t.Errorf("sockets %d rejected: %v", n, err)
+		}
+	}
+	for _, n := range []int{-1, 3, 4} {
+		p := numaParams(n, 1)
+		if p.Validate() == nil {
+			t.Errorf("sockets %d accepted by Validate", n)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("sockets %d accepted by NewSystem", n)
+				}
+			}()
+			NewSystem(p)
+		}()
+	}
+	p := numaParams(2, 1)
+	p.RemotePenaltyCyc = -1
+	if p.Validate() == nil {
+		t.Error("negative remote penalty accepted")
+	}
+}

@@ -85,6 +85,13 @@ type golden struct {
 	// fleet's p95 under the fixed batching-economics sweep, pinning launch
 	// amortization and the hold-window arithmetic.
 	HetBatchP95Ms map[string]float64 `json:"het_batch_p95_ms"`
+	// NUMA* pin ext4's multi-socket engine runs (core.RunNUMA at the
+	// golden config), keyed "placement|prefetch": the per-batch latency,
+	// the mean demand-load latency and the share of DRAM fills served by
+	// the other socket.
+	NUMABatchMs        map[string]float64 `json:"numa_batch_ms"`
+	NUMAAvgLoadLatCyc  map[string]float64 `json:"numa_avg_load_lat_cyc"`
+	NUMARemoteFillFrac map[string]float64 `json:"numa_remote_fill_frac"`
 }
 
 // goldenClusterConfig is the fixed reference cluster for the pinned p95
@@ -411,6 +418,19 @@ func computeGolden(t *testing.T) golden {
 			g.HetBatchP95Ms[fmt.Sprintf("u=%.2f|b=%d|h=%g", util, pt.b, pt.h)] = hres.P95
 		}
 	}
+	g.NUMABatchMs = map[string]float64{}
+	g.NUMAAvgLoadLatCyc = map[string]float64{}
+	g.NUMARemoteFillFrac = map[string]float64{}
+	for _, cell := range ext4Cells(x.Cfg) {
+		rep, err := core.RunNUMA(cell.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := cell.key + "|" + cell.prefetch
+		g.NUMABatchMs[k] = rep.BatchLatencyMs
+		g.NUMAAvgLoadLatCyc[k] = rep.AvgLoadLatency
+		g.NUMARemoteFillFrac[k] = rep.RemoteFillFraction
+	}
 	return g
 }
 
@@ -521,6 +541,14 @@ func TestGoldenRegression(t *testing.T) {
 	if nohold, hold := got.HetBatchP95Ms["u=0.35|b=64|h=0"], got.HetBatchP95Ms["u=0.35|b=64|h=40"]; nohold >= hold {
 		t.Errorf("hold window is free at low load: p95 %.4f ms without vs %.4f ms with", nohold, hold)
 	}
+	// Page interleaving homes about half of every socket's lines on the
+	// other socket, so the spread placement — cores on both sockets —
+	// must fault about half its fills remotely, like the interleaved one.
+	for _, pf := range []string{"off", "SW-PF"} {
+		if f := got.NUMARemoteFillFrac["spread|"+pf]; f < 0.3 || f > 0.7 {
+			t.Errorf("spread|%s remote fill fraction %.4f, want ~0.5 under page interleaving", pf, f)
+		}
+	}
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -621,6 +649,9 @@ func TestGoldenRegression(t *testing.T) {
 	compareMap("chaos breaker minutes", got.ClusterChaosBreakerMin, want.ClusterChaosBreakerMin)
 	compareMap("het p95", got.HetP95Ms, want.HetP95Ms)
 	compareMap("het batching p95", got.HetBatchP95Ms, want.HetBatchP95Ms)
+	compareMap("numa batch ms", got.NUMABatchMs, want.NUMABatchMs)
+	compareMap("numa avg load latency", got.NUMAAvgLoadLatCyc, want.NUMAAvgLoadLatCyc)
+	compareMap("numa remote fill fraction", got.NUMARemoteFillFrac, want.NUMARemoteFillFrac)
 	if !close(got.HetSMTCrossOverlapMs, want.HetSMTCrossOverlapMs) {
 		t.Errorf("het SMT cross overlap = %.12g ms, golden %.12g ms", got.HetSMTCrossOverlapMs, want.HetSMTCrossOverlapMs)
 	}

@@ -90,10 +90,10 @@ const (
 	defaultSMTCrossKind = 1.08
 )
 
-func (d DeviceSpec) can(k PhaseKind) bool { return d.Speed[k] > 0 }
+func (d *DeviceSpec) can(k PhaseKind) bool { return d.Speed[k] > 0 }
 
 // kinds is the set of phase kinds the device can run.
-func (d DeviceSpec) kinds() kindMask {
+func (d *DeviceSpec) kinds() kindMask {
 	var m kindMask
 	for k := PhaseKind(0); k < NumKinds; k++ {
 		if d.can(k) {
@@ -103,14 +103,14 @@ func (d DeviceSpec) kinds() kindMask {
 	return m
 }
 
-func (d DeviceSpec) maxBatch() int {
+func (d *DeviceSpec) maxBatch() int {
 	if d.MaxBatch < 1 {
 		return 1
 	}
 	return d.MaxBatch
 }
 
-func (d DeviceSpec) smtFactors() (same, cross float64) {
+func (d *DeviceSpec) smtFactors() (same, cross float64) {
 	same, cross = d.SMTSameKind, d.SMTCrossKind
 	if same == 0 {
 		same = defaultSMTSameKind
@@ -122,7 +122,7 @@ func (d DeviceSpec) smtFactors() (same, cross float64) {
 }
 
 // validate reports every violation of one device spec (collect-all).
-func (d DeviceSpec) validate(i, fleet int) error {
+func (d *DeviceSpec) validate(i, fleet int) error {
 	var errs []error
 	if d.Class >= NumClasses {
 		errs = append(errs, fmt.Errorf("hetsched: device %d has invalid class %d", i, d.Class))

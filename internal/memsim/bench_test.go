@@ -78,3 +78,41 @@ func BenchmarkCacheFillEvict(b *testing.B) {
 		c.Fill(addrs[i&mask], int64(i), false)
 	}
 }
+
+// gatherAddrs builds a gather-shaped access string: rows of `run`
+// consecutive addresses (several per line, lines back to back)
+// separated by pseudo-random row jumps.
+func gatherAddrs(n, run int) []Addr {
+	addrs := make([]Addr, n)
+	state := uint64(0x2545F4914F6CDD1D)
+	var row Addr
+	for i := range addrs {
+		if i%run == 0 {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			row = Addr(state % (1 << 24))
+		}
+		addrs[i] = row + Addr(i%run)*16 // 4 accesses per 64 B line
+	}
+	return addrs
+}
+
+// BenchmarkAccessSequential measures Access, one call per address, on a
+// gather where each line is read several times in a row — the shape
+// cpusim's burst ops (Op.Lines) feed the hierarchy.
+func BenchmarkAccessSequential(b *testing.B) {
+	p := benchParams()
+	h := NewHierarchy(p, NewShared(p))
+	addrs := gatherAddrs(1<<13, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var now int64
+	for i := 0; i < b.N; i++ {
+		for _, a := range addrs {
+			h.Access(now, a, KindLoad)
+		}
+		now += 1000
+	}
+	b.SetBytes(int64(len(addrs)))
+}

@@ -17,19 +17,23 @@ type MemParams struct {
 }
 
 // Shared is the portion of the memory system common to all cores on a
-// socket: the last-level cache and the DRAM behind it. In a multi-socket
-// configuration, lines homed on another socket are served by that
-// socket's DRAM plus an interconnect penalty (UPI/Infinity-Fabric-style).
+// socket: the last-level cache and the DRAM behind it. In a two-socket
+// configuration memory is page-interleaved across the sockets, and lines
+// homed on the other socket are served by that socket's DRAM plus an
+// interconnect penalty (UPI/Infinity-Fabric-style).
 type Shared struct {
 	L3   *Cache
 	DRAM *DRAM
 
-	// Remote, when non-nil, is the other socket's DRAM; HomeLocal
-	// decides which socket a line lives on; RemotePenaltyCyc is the
-	// extra interconnect latency of a remote fill.
+	// Remote, when non-nil, is the other socket's DRAM, Socket is this
+	// socket's index (0 or 1) and RemotePenaltyCyc is the extra
+	// interconnect latency of a remote fill.
 	Remote           *DRAM
-	HomeLocal        func(Addr) bool
+	Socket           int
 	RemotePenaltyCyc int64
+	// RemoteFills counts the fills (demand and prefetch) that Remote
+	// served for this socket's cores.
+	RemoteFills uint64
 }
 
 // NewShared builds the shared LLC+DRAM from params (single-socket: every
@@ -41,10 +45,19 @@ func NewShared(p MemParams) *Shared {
 	}
 }
 
+// homeSocket returns the socket whose DRAM holds line a when memory is
+// interleaved across two sockets in 4 KiB pages.
+func homeSocket(a Addr) int { return int(a>>12) % 2 }
+
+// remote reports whether line a is homed on the other socket.
+func (s *Shared) remote(a Addr) bool {
+	return s.Remote != nil && homeSocket(a) != s.Socket
+}
+
 // memLatency returns the fill latency for line a under the current
 // utilizations, local or remote.
 func (s *Shared) memLatency(a Addr) int64 {
-	if s.Remote == nil || s.HomeLocal == nil || s.HomeLocal(a) {
+	if !s.remote(a) {
 		return s.DRAM.AccessLatency()
 	}
 	return s.Remote.AccessLatency() + s.RemotePenaltyCyc
@@ -52,10 +65,11 @@ func (s *Shared) memLatency(a Addr) int64 {
 
 // recordFill accounts a fill of line a against the serving DRAM.
 func (s *Shared) recordFill(a Addr, prefetch bool) {
-	if s.Remote == nil || s.HomeLocal == nil || s.HomeLocal(a) {
+	if !s.remote(a) {
 		s.DRAM.RecordFill(prefetch)
 		return
 	}
+	s.RemoteFills++
 	s.Remote.RecordFill(prefetch)
 }
 
@@ -64,6 +78,7 @@ func (s *Shared) recordFill(a Addr, prefetch bool) {
 func (s *Shared) Reset() {
 	s.L3.Reset()
 	s.DRAM.Reset()
+	s.RemoteFills = 0
 }
 
 // Hierarchy is one core's private L1D and L2 in front of the shared LLC
@@ -158,49 +173,7 @@ func (h *Hierarchy) Access(now int64, a Addr, kind AccessKind) AccessResult {
 	if kind.IsPrefetch() {
 		return h.prefetch(now, a, kind)
 	}
-	res, _ := h.demandAccess(now, a, kind)
-	return res
-}
-
-// AccessBatch performs the demand accesses in addrs, in order, all at
-// cycle now, appending one result per address to out (which it returns,
-// grown). It is observably identical to calling Access per element —
-// same results, same cache state, same counters — but amortizes the
-// hierarchy walk: a run of addresses falling in one line (the shape of
-// an embedding-row gather, where a row spans several sequential lines
-// and each line several values) touches the L1 slot the previous
-// access pinned instead of re-probing every level. Prefetch kinds take
-// the per-element path unchanged.
-func (h *Hierarchy) AccessBatch(now int64, addrs []Addr, kind AccessKind, out []AccessResult) []AccessResult {
-	if kind.IsPrefetch() {
-		for _, a := range addrs {
-			out = append(out, h.Access(now, a, kind))
-		}
-		return out
-	}
-	prevIdx := -1
-	var prevLine Addr
-	for _, a := range addrs {
-		la := LineAddr(a)
-		if prevIdx >= 0 && la == prevLine {
-			// The previous access left la resident in L1 at prevIdx, and
-			// nothing between two accesses of one hierarchy evicts it.
-			if kind == KindLoad {
-				h.Stats.Loads++
-			} else {
-				h.Stats.Stores++
-			}
-			readyAt := h.L1.touchAt(prevIdx, la, now)
-			lat := residual(now, readyAt, h.L1.cfg.LatencyCyc)
-			h.record(kind, LevelL1, lat)
-			out = append(out, AccessResult{Level: LevelL1, Latency: lat, InFlightHit: readyAt > now})
-			continue
-		}
-		res, idx := h.demandAccess(now, la, kind)
-		out = append(out, res)
-		prevIdx, prevLine = idx, la
-	}
-	return out
+	return h.demandAccess(now, a, kind)
 }
 
 // demandAccess walks the hierarchy for one demand access to the
@@ -210,9 +183,7 @@ func (h *Hierarchy) AccessBatch(now int64, addrs []Addr, kind AccessKind, out []
 // geometry, fillAt rescans the set's current contents, and only a
 // Reset (impossible mid-access) could stale the lazy set validation,
 // so prefetch fills interleaved between probe and fill are safe.
-// Returns the L1 index now holding the line (every demand access ends
-// with the line in L1).
-func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResult, int) {
+func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) AccessResult {
 	if kind == KindLoad {
 		h.Stats.Loads++
 	} else {
@@ -221,10 +192,10 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 
 	// L1 probe.
 	b1, w1 := h.L1.setBase(a)
-	if idx, readyAt, hit := h.L1.lookupAt(b1, w1, true, now); hit {
+	if _, readyAt, hit := h.L1.lookupAt(b1, w1, true, now); hit {
 		lat := residual(now, readyAt, h.L1.cfg.LatencyCyc)
 		h.record(kind, LevelL1, lat)
-		return AccessResult{Level: LevelL1, Latency: lat, InFlightHit: readyAt > now}, idx
+		return AccessResult{Level: LevelL1, Latency: lat, InFlightHit: readyAt > now}
 	}
 	// L1 miss: train the L1 hardware prefetcher. Like Intel's DCU
 	// prefetcher, its fills land in L2 — strong enough to help streaming
@@ -240,9 +211,9 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 	b2, w2 := h.L2.setBase(a)
 	if _, readyAt, hit := h.L2.lookupAt(b2, w2, true, now); hit {
 		lat := residual(now, readyAt, h.L2.cfg.LatencyCyc)
-		idx := h.L1.fillAt(b1, w1, now+lat, false)
+		h.L1.fillAt(b1, w1, now+lat, false)
 		h.record(kind, LevelL2, lat)
-		return AccessResult{Level: LevelL2, Latency: lat, InFlightHit: readyAt > now}, idx
+		return AccessResult{Level: LevelL2, Latency: lat, InFlightHit: readyAt > now}
 	}
 	if h.HWPrefetchEnabled {
 		h.pfBuf = h.l2pf.OnDemandMiss(a, h.pfBuf[:0])
@@ -256,9 +227,9 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 	if _, readyAt, hit := h.shared.L3.lookupAt(b3, w3, true, now); hit {
 		lat := residual(now, readyAt, h.shared.L3.cfg.LatencyCyc)
 		h.L2.fillAt(b2, w2, now+lat, false)
-		idx := h.L1.fillAt(b1, w1, now+lat, false)
+		h.L1.fillAt(b1, w1, now+lat, false)
 		h.record(kind, LevelL3, lat)
-		return AccessResult{Level: LevelL3, Latency: lat, InFlightHit: readyAt > now}, idx
+		return AccessResult{Level: LevelL3, Latency: lat, InFlightHit: readyAt > now}
 	}
 
 	// DRAM (local or remote-socket per line homing).
@@ -266,9 +237,9 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 	h.shared.recordFill(a, false)
 	h.shared.L3.fillAt(b3, w3, now+lat, false)
 	h.L2.fillAt(b2, w2, now+lat, false)
-	idx := h.L1.fillAt(b1, w1, now+lat, false)
+	h.L1.fillAt(b1, w1, now+lat, false)
 	h.record(kind, LevelDRAM, lat)
-	return AccessResult{Level: LevelDRAM, Latency: lat}, idx
+	return AccessResult{Level: LevelDRAM, Latency: lat}
 }
 
 func (h *Hierarchy) record(kind AccessKind, lvl Level, lat int64) {

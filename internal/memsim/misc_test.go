@@ -101,16 +101,17 @@ func TestSharedRemoteHoming(t *testing.T) {
 	remote := NewShared(p)
 	local.Remote = remote.DRAM
 	local.RemotePenaltyCyc = 123
-	local.HomeLocal = func(a Addr) bool { return a < 0x1000 }
+	local.Socket = 1
+	// Odd pages are homed on socket 1, even pages on socket 0.
 	// Local line: base latency.
-	if got := local.memLatency(0x100); got != 200 {
+	if got := local.memLatency(0x1100); got != 200 {
 		t.Fatalf("local latency = %d", got)
 	}
 	// Remote line: remote DRAM latency + penalty.
 	if got := local.memLatency(0x2000); got != 200+123 {
 		t.Fatalf("remote latency = %d", got)
 	}
-	local.recordFill(0x100, false)
+	local.recordFill(0x1100, false)
 	local.recordFill(0x2000, true)
 	if local.DRAM.Stats.LineFills != 1 || remote.DRAM.Stats.LineFills != 1 {
 		t.Fatalf("fills recorded wrong: local=%d remote=%d",
@@ -118,5 +119,12 @@ func TestSharedRemoteHoming(t *testing.T) {
 	}
 	if remote.DRAM.Stats.PrefetchFills != 1 {
 		t.Fatal("remote prefetch fill not counted")
+	}
+	if local.RemoteFills != 1 {
+		t.Fatalf("remote fills = %d, want 1", local.RemoteFills)
+	}
+	local.Reset()
+	if local.RemoteFills != 0 {
+		t.Fatal("Reset kept the remote fill count")
 	}
 }
